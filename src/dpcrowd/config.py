@@ -202,12 +202,6 @@ _SECTIONS = {
     "kcif": KcifConfig,
 }
 
-# spec-facing aliases that differ from the dataclass field names
-_KEY_ALIASES = {
-    "net.latency_ms_center": ("net", "latency_ms_center"),
-}
-
-
 def _parse_value(raw: str, target_type):
     raw = raw.strip()
     if target_type is bool or raw.lower() in ("true", "false", "yes", "no", "on", "off"):
@@ -262,9 +256,7 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     sections: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
     top: dict[str, object] = {}
     for key, raw_value in raw.items():
-        if key in _KEY_ALIASES:
-            section, attr = _KEY_ALIASES[key]
-        elif "." in key:
+        if "." in key:
             section, _, attr = key.partition(".")
         else:
             section, attr = "", key

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .privacy import PrivacyLedger, laplace_sample
+from .privacy import laplace_sample
 
 __all__ = [
     "GroupingThresholds",
@@ -152,14 +152,12 @@ def perturb_groups(
     budgets,
     sensitivity: float,
     rng: np.random.Generator,
-    ledger: PrivacyLedger | None = None,
-    t: int | None = None,
 ) -> dict[int, float]:
     """Perturb each group's sum once and share the released mean.
 
-    The noise scale uses the group's smallest member budget; every member's
-    own allocated budget is charged to the ledger when one is given. Groups
-    are processed in ascending seed order so draw order is deterministic.
+    The noise scale uses the group's smallest member budget, which the caller
+    has already charged for every member. Groups are processed in ascending
+    seed order so draw order is deterministic.
     """
     if sensitivity <= 0:
         raise ValueError("sensitivity must be positive")
@@ -178,8 +176,4 @@ def perturb_groups(
         share = noisy / len(group)
         for k in group:
             released[k] = share
-            if ledger is not None:
-                if t is None:
-                    raise ValueError("ledger charging needs the timestamp t")
-                ledger.charge(k, t, float(budgets[k]))
     return released

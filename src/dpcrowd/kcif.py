@@ -3,31 +3,24 @@
 With a diagonal process-noise covariance and scalar observation coefficients
 the d-dimensional filter decomposes into d independent scalar filters, so
 every operation here works element-wise on arrays of any matching shape
-(per-server vectors or stacked (m, d) blocks alike).
+(per-server vectors or stacked (m, d) blocks alike). The engine sums the
+neighbours' information contributions u = H z / R_hat and U = H^2 / R_hat
+over the adjacency and passes the totals to update_from_delta.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "KcifParams",
-    "KcifState",
-    "NeighborMessage",
     "effective_variance",
     "prediction_gain",
     "predict",
     "initialize",
-    "build_message",
-    "fuse",
-    "update",
     "update_from_delta",
-    "message_num_bytes",
-    "encode_message",
-    "decode_message",
 ]
 
 # Fallback prior weight for a server that starts with no usable observation.
@@ -54,46 +47,6 @@ class KcifParams:
             raise ValueError("consensus step must be non-negative")
         if self.variance_floor < 0:
             raise ValueError("variance floor must be non-negative")
-
-
-@dataclass
-class KcifState:
-    """One server's filter state; arrays are per-dimension."""
-
-    prior: np.ndarray
-    prior_var: np.ndarray
-    posterior: np.ndarray
-    posterior_var: np.ndarray
-    t: int = 0
-
-
-@dataclass(frozen=True)
-class NeighborMessage:
-    """One broadcast: the sender's prior plus its information contribution."""
-
-    sender: int
-    t: int
-    prior: np.ndarray
-    weighted_value: np.ndarray  # u = H z / R_hat, zero when the sender did not sample
-    weight: np.ndarray  # U = H^2 / R_hat, zero when the sender did not sample
-
-    def __post_init__(self) -> None:
-        prior = np.atleast_1d(np.asarray(self.prior, dtype=float))
-        u = np.atleast_1d(np.asarray(self.weighted_value, dtype=float))
-        w = np.atleast_1d(np.asarray(self.weight, dtype=float))
-        if not (prior.shape == u.shape == w.shape):
-            raise ValueError("message fields must share one shape")
-        if not (np.all(np.isfinite(prior)) and np.all(np.isfinite(u)) and np.all(np.isfinite(w))):
-            raise ValueError("message fields must be finite")
-        if np.any(w < 0):
-            raise ValueError("information weights must be non-negative")
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "weighted_value", u)
-        object.__setattr__(self, "weight", w)
-
-    @property
-    def d(self) -> int:
-        return self.prior.shape[0]
 
 
 def effective_variance(coefficient, eps_t, sensitivity, process_var, alpha: float = 1.0):
@@ -154,42 +107,6 @@ def initialize(released, coefficient, rhat, transition, process_var):
     return prior, prior_var
 
 
-def build_message(sender: int, t: int, prior, coefficient, released, rhat) -> NeighborMessage:
-    """Assemble the broadcast for one sampling timestamp."""
-    coefficient = np.asarray(coefficient, dtype=float)
-    released = np.asarray(released, dtype=float)
-    rhat = np.asarray(rhat, dtype=float)
-    if np.any(rhat <= 0):
-        raise ValueError("effective variance must be strictly positive")
-    u = coefficient * released / rhat
-    w = coefficient * coefficient / rhat
-    return NeighborMessage(sender=sender, t=t, prior=np.asarray(prior, dtype=float),
-                           weighted_value=u, weight=w)
-
-
-def fuse(own: NeighborMessage | None, inbox: list[NeighborMessage]):
-    """Sum information contributions over the closed neighborhood.
-
-    A server that did not sample passes own=None and contributes nothing
-    itself. Duplicate senders indicate a broken delivery layer.
-    """
-    messages = ([own] if own is not None else []) + list(inbox)
-    if not messages:
-        raise ValueError("nothing to fuse: no own message and empty inbox")
-    senders = [msg.sender for msg in messages]
-    if len(set(senders)) != len(senders):
-        raise ValueError(f"duplicate sender in fusion inputs: {sorted(senders)}")
-    d = messages[0].d
-    y = np.zeros(d)
-    w = np.zeros(d)
-    for msg in messages:
-        if msg.d != d:
-            raise ValueError("mixed message dimensions in fusion inputs")
-        y += msg.weighted_value
-        w += msg.weight
-    return y, w
-
-
 def update_from_delta(prior, prior_var, fused_value, fused_weight, prior_delta, consensus_step):
     """Measurement-and-consensus update given a precomputed prior disagreement.
 
@@ -206,47 +123,3 @@ def update_from_delta(prior, prior_var, fused_value, fused_weight, prior_delta, 
         + gain * np.asarray(prior_delta, dtype=float)
     )
     return posterior, posterior_var
-
-
-def update(prior, prior_var, fused_value, fused_weight, neighbor_priors, consensus_step):
-    """Per-server update; neighbor_priors are the priors received this round."""
-    prior = np.asarray(prior, dtype=float)
-    if len(neighbor_priors):
-        stack = np.asarray(neighbor_priors, dtype=float)
-        delta = stack.sum(axis=0) - stack.shape[0] * prior
-    else:
-        delta = np.zeros_like(prior)
-    return update_from_delta(prior, prior_var, fused_value, fused_weight, delta, consensus_step)
-
-
-# Canonical wire format: sender and timestamp as little-endian uint32, then
-# one (prior, weighted_value, weight) float64 triple per dimension.
-_HEADER = struct.Struct("<II")
-
-
-def message_num_bytes(d: int) -> int:
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    return _HEADER.size + 24 * d
-
-
-def encode_message(msg: NeighborMessage) -> bytes:
-    body = struct.pack(
-        f"<{3 * msg.d}d",
-        *(x for k in range(msg.d) for x in (msg.prior[k], msg.weighted_value[k], msg.weight[k])),
-    )
-    return _HEADER.pack(msg.sender, msg.t) + body
-
-
-def decode_message(blob: bytes) -> NeighborMessage:
-    sender, t = _HEADER.unpack_from(blob, 0)
-    body = blob[_HEADER.size:]
-    if len(body) % 24 != 0 or not body:
-        raise ValueError(f"malformed message body of {len(body)} bytes")
-    d = len(body) // 24
-    flat = struct.unpack(f"<{3 * d}d", body)
-    triples = np.asarray(flat, dtype=float).reshape(d, 3)
-    return NeighborMessage(
-        sender=sender, t=t, prior=triples[:, 0],
-        weighted_value=triples[:, 1], weight=triples[:, 2],
-    )

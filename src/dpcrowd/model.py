@@ -1,14 +1,13 @@
-"""Latent process, observation, and user-partition models.
+"""Latent process and user-partition models.
 
 The quantity being estimated is a d-dimensional statistic r(t) over the whole
 user population, evolving linearly with Gaussian process noise. Each server
-observes only its own user share, so its raw aggregate is a scaled, noisy
-view of r(t).
+observes only its own user share, so its raw aggregate (formed in the engine)
+is a scaled, noisy view of r(t).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +15,9 @@ import numpy as np
 __all__ = [
     "ProcessModel",
     "TrueState",
-    "ObservationModel",
     "StreamPrefix",
     "step_process",
     "partition_users",
-    "observe",
 ]
 
 
@@ -71,10 +68,6 @@ class ProcessModel:
             return 1 if q.ndim == 0 else q.shape[0]
         return a.shape[0]
 
-    @property
-    def is_diagonal(self) -> bool:
-        return bool(np.all(self.transition == np.diag(np.diagonal(self.transition))))
-
 
 @dataclass(frozen=True)
 class TrueState:
@@ -110,60 +103,6 @@ def partition_users(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     if m < 1:
         raise ValueError(f"need at least one server, got m={m}")
     return rng.multinomial(n, np.full(m, 1.0 / m))
-
-
-@dataclass(frozen=True)
-class ObservationModel:
-    """Per-server observation coefficients for one timestamp.
-
-    coefficients[i] = |G_i| / n. The exact invariant lives at the integer
-    level (group sizes sum to n); the float coefficients sum to 1 only up to
-    rounding of the m divisions.
-    """
-
-    n: int
-    group_sizes: np.ndarray
-
-    def __post_init__(self) -> None:
-        sizes = np.asarray(self.group_sizes, dtype=np.int64)
-        if sizes.ndim != 1 or sizes.shape[0] < 1:
-            raise ValueError("group_sizes must be a non-empty 1-D integer vector")
-        if np.any(sizes < 0):
-            raise ValueError("group sizes must be non-negative")
-        if int(sizes.sum()) != self.n:
-            raise ValueError(f"group sizes sum to {int(sizes.sum())}, expected n={self.n}")
-        object.__setattr__(self, "group_sizes", sizes)
-        coeff = sizes / float(self.n)
-        if abs(math.fsum(coeff.tolist()) - 1.0) > 1e-12:
-            raise ValueError("observation coefficients must sum to 1")
-        object.__setattr__(self, "_coefficients", coeff)
-
-    @property
-    def m(self) -> int:
-        return self.group_sizes.shape[0]
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self._coefficients  # type: ignore[attr-defined]
-
-
-def observe(
-    coefficient: float,
-    value: np.ndarray,
-    noise_var: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One server's raw aggregate: coefficient * r(t) plus sensing noise.
-
-    Sensing noise is N(0, coefficient^2 * noise_var) per dimension, so an
-    empty server (coefficient 0) observes exactly zero.
-    """
-    if not 0.0 <= coefficient <= 1.0:
-        raise ValueError(f"observation coefficient must lie in [0, 1], got {coefficient}")
-    value = np.asarray(value, dtype=float)
-    q = np.asarray(noise_var, dtype=float)
-    noise = rng.normal(0.0, coefficient * np.sqrt(q))
-    return coefficient * value + noise
 
 
 @dataclass(frozen=True)

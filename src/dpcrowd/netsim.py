@@ -9,11 +9,8 @@ to all neighbors once. Packets count delivered edge-directions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
-
-from .kcif import NeighborMessage, message_num_bytes
 
 __all__ = [
     "generate_topology",
@@ -22,10 +19,15 @@ __all__ = [
     "is_connected",
     "TopologySchedule",
     "CommStats",
-    "deliver_one_hop",
+    "message_num_bytes",
+    "flood_payload_bytes",
     "flood_reachability",
-    "flood_broadcast",
 ]
+
+# Wire sizes: every message starts with the sender and timestamp as uint32.
+# A one-hop message then carries one (prior, weighted_value, weight) float64
+# triple per dimension; a flooded payload carries one float64 estimate.
+HEADER_BYTES = 8
 
 
 def generate_topology(m: int, density: float, rng: np.random.Generator) -> np.ndarray:
@@ -123,47 +125,25 @@ class CommStats:
         self.packets_by_t.append(int(packets))
 
 
-def _delivery_latency(count: int, rng: np.random.Generator | None, center: float) -> float:
+def message_num_bytes(d: int) -> int:
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    return HEADER_BYTES + 24 * d
+
+
+def flood_payload_bytes(d: int) -> int:
+    return HEADER_BYTES + 8 * d
+
+
+def _delivery_latency(count: int, rng: np.random.Generator, center: float) -> float:
     """Max over per-delivery latencies, uniform within +/-20% of the center."""
     if count == 0:
         return 0.0
-    if rng is None:
-        return center
     return float(rng.uniform(0.8 * center, 1.2 * center, size=count).max())
 
 
-def deliver_one_hop(
-    messages: Mapping[int, NeighborMessage],
-    adj: np.ndarray,
-    stats: CommStats | None = None,
-    rng: np.random.Generator | None = None,
-    latency_center: float = 100.0,
-) -> dict[int, list[NeighborMessage]]:
-    """Deliver each broadcast to the sender's neighbors; returns inboxes.
-
-    Inboxes are ordered by sender id, so downstream fusion is deterministic.
-    """
-    m = adj.shape[0]
-    inboxes: dict[int, list[NeighborMessage]] = {i: [] for i in range(m)}
-    packets = 0
-    payload = 0
-    for sender in sorted(messages):
-        msg = messages[sender]
-        if not 0 <= sender < m:
-            raise KeyError(f"sender {sender} outside topology of {m} nodes")
-        for receiver in np.flatnonzero(adj[sender]):
-            inboxes[int(receiver)].append(msg)
-            packets += 1
-            payload += message_num_bytes(msg.d)
-    if stats is not None:
-        stats.record_round(packets, payload, _delivery_latency(packets, rng, latency_center))
-    return inboxes
-
-
-def flood_reachability(
-    adj: np.ndarray, origins: np.ndarray | None = None
-) -> tuple[np.ndarray, int, int, list[int]]:
-    """Blind-flood each origin's payload; returns (known, hops, packets, per-round forwards).
+def flood_reachability(adj: np.ndarray) -> tuple[np.ndarray, int, int, list[int]]:
+    """Blind-flood every node's payload; returns (known, hops, packets, per-round forwards).
 
     known[i, p] marks that node i holds payload p after flooding completes.
     Each node forwards each newly seen payload (its own included) to all its
@@ -173,8 +153,6 @@ def flood_reachability(
     m = adj.shape[0]
     deg = degrees(adj)
     known = np.eye(m, dtype=bool)
-    if origins is not None:
-        known &= np.asarray(origins, dtype=bool)[None, :]  # drop absent payload columns
     new = known.copy()
     packets = 0
     hops = 0
@@ -191,21 +169,3 @@ def flood_reachability(
             hops = round_no
             known |= new
     return known, hops, packets, rounds
-
-
-def flood_broadcast(
-    payloads: Mapping[int, object], adj: np.ndarray
-) -> tuple[dict[int, dict[int, object]], int, int]:
-    """Flood arbitrary payloads; returns (per-node payload maps, hops, packets)."""
-    m = adj.shape[0]
-    for origin in payloads:
-        if not 0 <= origin < m:
-            raise KeyError(f"origin {origin} outside topology of {m} nodes")
-    origins = np.zeros(m, dtype=bool)
-    for origin in payloads:
-        origins[origin] = True
-    known, hops, packets, _ = flood_reachability(adj, origins)
-    delivered: dict[int, dict[int, object]] = {}
-    for i in range(m):
-        delivered[i] = {int(p): payloads[int(p)] for p in np.flatnonzero(known[i])}
-    return delivered, hops, packets

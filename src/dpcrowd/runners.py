@@ -16,11 +16,12 @@ import numpy as np
 
 from . import kcif
 from .config import ExperimentConfig, ConfigError
-from .datasets import generate_stream, load_csv
+from .datasets import build_transition, generate_stream, load_csv
 from .grouping import GroupingThresholds, group_regions, perturb_groups, predict_region
 from .kcif import KcifParams
 from .model import ProcessModel, partition_users
-from .netsim import CommStats, TopologySchedule, degrees, flood_reachability
+from .netsim import CommStats, TopologySchedule, _delivery_latency, degrees, \
+    flood_payload_bytes, flood_reachability, message_num_bytes
 from .privacy import AllocationConfig, BudgetError, PrivacyLedger, allocate_adaptive, \
     allocate_uniform, perturb_count
 from .sampling import PidController, SamplingSchedule, feedback_error, next_interval, \
@@ -36,15 +37,6 @@ __all__ = [
     "run_dfast",
     "run_experiment",
 ]
-
-# Per-payload bytes for flooded estimates: sender + timestamp as uint32,
-# then one float64 per dimension.
-FLOOD_HEADER_BYTES = 8
-
-
-def flood_payload_bytes(d: int) -> int:
-    return FLOOD_HEADER_BYTES + 8 * d
-
 
 @dataclass(frozen=True)
 class _Policy:
@@ -104,7 +96,7 @@ class RunResult:
 
 def _build_process(cfg: ExperimentConfig) -> ProcessModel:
     d = cfg.model.d
-    transition = np.full((d, d), cfg.model.a_offdiag) + np.eye(d) * (cfg.model.a - cfg.model.a_offdiag)
+    transition = build_transition(d, cfg.model.a, cfg.model.a_offdiag)
     q = np.asarray(cfg.model.q, dtype=float)
     if q.shape == (1,) and d > 1:
         q = np.full(d, float(q[0]))
@@ -149,6 +141,23 @@ def _grouping_thresholds(cfg: ExperimentConfig) -> GroupingThresholds:
         large_value=eta1, value_gap=eta3, trend_gap=cfg.grouping.eta2,
         history_window=cfg.grouping.tau,
     )
+
+
+def _check_consensus_stability(adj: np.ndarray, beta: float) -> None:
+    """Refuse a consensus step under which the disagreement dynamics diverge.
+
+    They contract only while beta * lambda_max(graph Laplacian) < 2. Since
+    lambda_max <= 2 * max degree, the eigenvalue is needed only near the bound.
+    """
+    deg = degrees(adj)
+    if beta * 2 * deg.max() < 2:
+        return
+    lam = float(np.linalg.eigvalsh(np.diag(deg) - adj.astype(float))[-1])
+    if beta * lam >= 2:
+        raise ConfigError(
+            f"kcif.beta = {beta:g} is unstable on this topology: beta * lambda_max(Laplacian)"
+            f" must be < 2, but lambda_max = {lam:.6g} (kcif.beta must be < {2 / lam:.6g})"
+        )
 
 
 def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
@@ -213,8 +222,7 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
         return [
             [
                 SamplingSchedule(
-                    mode=cfg.sampling.mode, interval=cfg.sampling.interval,
-                    next_sample_t=start_t, max_samples=cap,
+                    interval=cfg.sampling.interval, next_sample_t=start_t, max_samples=cap
                 )
                 for _ in range(d)
             ]
@@ -258,6 +266,7 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     stats = CommStats(broadcasts=np.zeros(m, dtype=np.int64))
 
     adj_needed = (policy.communicate or policy.flood) and m > 1
+    checked_adj = None
     noise_scale = coeff[:, None] * np.sqrt(q_diag)[None, :]
 
     for tidx in range(timestamps):
@@ -273,6 +282,9 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
             last_rhat = np.full((m, d), np.inf)
 
         adj = topo.adjacency_at(t) if adj_needed else None
+        if policy.communicate and adj is not None and adj is not checked_adj:
+            _check_consensus_stability(adj, params.consensus_step)
+            checked_adj = adj
         if not cfg.model.freeze_partition:
             sizes = partition_users(cfg.users, m, partition_rng)
             coeff = sizes / float(cfg.users)
@@ -391,18 +403,8 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
             prior_sum = link @ (prior * active[:, None])
             prior_delta = prior_sum - nbr_count[:, None] * prior
             packets = int(degrees(adj)[active].sum())
-            payload = packets * kcif.message_num_bytes(d)
-            if packets:
-                latency = float(
-                    latency_rng.uniform(
-                        0.8 * cfg.net.latency_ms_center,
-                        1.2 * cfg.net.latency_ms_center,
-                        size=packets,
-                    ).max()
-                )
-            else:
-                latency = 0.0
-            stats.record_round(packets, payload, latency)
+            latency = _delivery_latency(packets, latency_rng, cfg.net.latency_ms_center)
+            stats.record_round(packets, packets * message_num_bytes(d), latency)
             broadcast_trace[:, tidx] = active
         else:
             fused_value = u + stale_u
@@ -427,16 +429,10 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                 uniq, inverse = np.unique(known, axis=0, return_inverse=True)
                 sums = np.stack([posterior[row].sum(axis=0) for row in uniq])
                 release_t = sums[inverse] / counts[:, None]
-                latency = 0.0
-                for forwards in rounds:
-                    if forwards:
-                        latency += float(
-                            latency_rng.uniform(
-                                0.8 * cfg.net.latency_ms_center,
-                                1.2 * cfg.net.latency_ms_center,
-                                size=forwards,
-                            ).max()
-                        )
+                latency = sum(
+                    _delivery_latency(forwards, latency_rng, cfg.net.latency_ms_center)
+                    for forwards in rounds
+                )
                 stats.record_round(fpackets, fpackets * flood_payload_bytes(d), latency)
             else:
                 stats.record_round(0, 0, 0.0)

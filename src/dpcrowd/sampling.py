@@ -97,21 +97,18 @@ def next_interval_plus(interval: int, delta: float, remaining: float, theta: flo
 
 @dataclass
 class SamplingSchedule:
-    """When to sample; mode is 'fixed' or 'adaptive'.
+    """When to sample: every `interval` timestamps from next_sample_t on.
 
     max_samples, when set, is the finite-stream hard cap: once exhausted the
     schedule never fires again.
     """
 
-    mode: str = "adaptive"
     interval: int = 1
     next_sample_t: int = 1
     samples_used: int = 0
     max_samples: int | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("fixed", "adaptive"):
-            raise ValueError(f"mode must be 'fixed' or 'adaptive', got {self.mode!r}")
         if self.interval < 1:
             raise ValueError(f"interval must be >= 1, got {self.interval}")
         if self.max_samples is not None and self.max_samples < 0:

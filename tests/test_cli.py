@@ -133,3 +133,36 @@ def test_env_seed_override(tmp_path, monkeypatch):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["seed"] == "77"
+
+
+LINEAR_CFG = """
+algorithm = dpcrowd
+seed = 100
+timestamps = 1000
+users = 100000
+epsilon = 0.1
+net.m = 50
+net.rho = 0.3
+model.a = 1.0
+model.q = 100000
+sampling.mode = adaptive
+sampling.max_fraction = 0.3
+"""
+
+
+def test_large_consensus_step_is_refused(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, LINEAR_CFG + "kcif.beta = 1.0\n")
+    out = tmp_path / "r.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "kcif.beta" in err and "lambda_max" in err
+    assert not out.exists()
+
+
+def test_dense_graph_consensus_step_is_refused(tmp_path, capsys):
+    # beta = 0.05 is stable at rho = 0.3 but diverges (ARE ~ 1e49) at rho = 0.9
+    cfg = _write_cfg(tmp_path, LINEAR_CFG + "net.rho = 0.9\nkcif.beta = 0.05\n")
+    out = tmp_path / "r.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "kcif.beta" in capsys.readouterr().err
+    assert not out.exists()

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpcrowd import runners
+from dpcrowd.config import DataConfig, ExperimentConfig, ModelConfig, NetConfig
 from dpcrowd.grouping import (
     GroupPartition,
     GroupingThresholds,
@@ -12,7 +14,6 @@ from dpcrowd.grouping import (
     predict_region,
     trend_deviation,
 )
-from dpcrowd.privacy import PrivacyLedger
 
 
 THR = GroupingThresholds(large_value=100.0, value_gap=5.0, trend_gap=0.5, history_window=3)
@@ -155,11 +156,25 @@ def test_rejects_nonpositive_budget():
         perturb_groups(part, [1.0, 2.0], [1.0, 0.0], 1.0, np.random.default_rng(0))
 
 
-def test_charges_each_member_budget():
-    led = PrivacyLedger("w_event", 1.0, dims=3, w=4)
-    part = GroupPartition(groups=((0, 2), (1,)))
-    perturb_groups(part, [1.0, 2.0, 3.0], [0.2, 0.3, 0.4], 1.0,
-                   np.random.default_rng(1), ledger=led, t=5)
-    assert led.total_spent(0) == pytest.approx(0.2)
-    assert led.total_spent(1) == pytest.approx(0.3)
-    assert led.total_spent(2) == pytest.approx(0.4)
+def test_charges_each_member_budget(monkeypatch):
+    # engine level: every sampled (server, t, dim) is charged exactly once,
+    # whether it was perturbed alone or shared a group's noise draw
+    sizes = []
+    original = runners.perturb_groups
+
+    def recording(partition, *args):
+        sizes.extend(len(g) for g in partition.groups)
+        return original(partition, *args)
+
+    monkeypatch.setattr(runners, "perturb_groups", recording)
+    cfg = ExperimentConfig(
+        algorithm="dpcrowd_plus", seed=2, timestamps=60, users=2000, w=10,
+        model=ModelConfig(d=3, q=(1.0,)), data=DataConfig(initial=(5.0,)),
+        net=NetConfig(m=3, rho=1.0, seed=1),
+    )
+    res = runners.run_experiment(cfg)
+    assert max(sizes) > 1
+    for i, ledger in enumerate(res.ledgers):
+        for k in range(cfg.model.d):
+            charged = sorted(t for t, _ in ledger.spends[k])
+            assert charged == [int(t) + 1 for t in np.flatnonzero(res.sampled[i, :, k])]

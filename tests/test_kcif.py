@@ -3,20 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpcrowd import runners
+from dpcrowd.config import ExperimentConfig, ModelConfig, NetConfig
+from dpcrowd.datasets import build_transition
 from dpcrowd.kcif import (
-    NeighborMessage,
-    build_message,
-    decode_message,
+    UNINFORMED_VARIANCE_SCALE,
     effective_variance,
-    encode_message,
-    fuse,
     initialize,
-    message_num_bytes,
     predict,
     prediction_gain,
-    update,
     update_from_delta,
 )
+from dpcrowd.netsim import TopologySchedule
 
 
 # -------------------------------------------------------- effective variance
@@ -68,99 +66,47 @@ def test_prediction_gain_row_sums():
     assert np.allclose(prediction_gain(a), [0.84**2, 0.84**2])
 
 
-# ------------------------------------------------------------------ message
-
-def test_build_message_hand_values():
-    msg = build_message(0, 1, np.array([0.0]), 1.0, np.array([10.0]), np.array([2.0]))
-    assert msg.weighted_value[0] == 5.0
-    assert msg.weight[0] == 0.5
-
-
-def test_build_message_empty_server():
-    msg = build_message(0, 1, np.array([0.0]), 0.0, np.array([10.0]), np.array([2.0]))
-    assert msg.weighted_value[0] == 0.0 and msg.weight[0] == 0.0
-
-
-def test_build_message_zero_measurement():
-    msg = build_message(0, 1, np.array([0.0]), 0.5, np.array([0.0]), np.array([4.0]))
-    assert msg.weighted_value[0] == 0.0
-    assert msg.weight[0] == 0.25 / 4.0
-
-
-def test_build_message_rejects_bad_variance():
-    with pytest.raises(ValueError):
-        build_message(0, 1, np.array([0.0]), 0.5, np.array([1.0]), np.array([0.0]))
-
-
-# --------------------------------------------------------------------- fuse
-
-def _msg(sender, u, w, prior=0.0):
-    return NeighborMessage(
-        sender=sender,
-        t=1,
-        prior=np.array([prior]),
-        weighted_value=np.array([u]),
-        weight=np.array([w]),
-    )
-
-
-def test_fuse_isolated_is_self():
-    y, w = fuse(_msg(0, 2.5, 0.7), [])
-    assert y[0] == 2.5 and w[0] == 0.7
-
-
-def test_fuse_additive():
-    y, w = fuse(_msg(0, 1.0, 1.0), [_msg(1, 1.0, 1.0), _msg(2, 1.0, 1.0)])
-    assert y[0] == 3.0 and w[0] == 3.0
-
-
-def test_fuse_rejects_duplicate_sender():
-    with pytest.raises(ValueError):
-        fuse(_msg(0, 1, 1), [_msg(0, 1, 1)])
-
-
-@given(st.lists(st.tuples(st.floats(-5, 5), st.floats(0, 5)), min_size=1, max_size=6))
-@settings(max_examples=100, deadline=None)
-def test_fuse_matches_brute_force(pairs):
-    msgs = [_msg(i, u, w) for i, (u, w) in enumerate(pairs)]
-    y, w = fuse(msgs[0], msgs[1:])
-    assert y[0] == pytest.approx(sum(u for u, _ in pairs))
-    assert w[0] == pytest.approx(sum(w for _, w in pairs))
-
-
 # ------------------------------------------------------------------- update
 
+# Information contributions as the engine forms them: u = H z / R, w = H^2 / R.
+
 def test_update_no_information():
-    post, var = update(np.array([3.0]), np.array([2.0]), np.zeros(1), np.zeros(1), [], 0.05)
+    post, var = update_from_delta(np.array([3.0]), np.array([2.0]), np.zeros(1), np.zeros(1),
+                                  np.zeros(1), 0.05)
     assert post[0] == 3.0 and var[0] == 2.0
 
 
 def test_update_agreeing_neighbors_drop_consensus_term():
     prior = np.array([4.0])
-    with_nbrs, _ = update(prior, np.array([1.0]), np.array([2.0]), np.array([1.0]),
-                          [prior, prior], 0.05)
-    alone, _ = update(prior, np.array([1.0]), np.array([2.0]), np.array([1.0]), [], 0.05)
+    h, z, r = 0.5, np.array([8.0]), 2.0
+    u, w = h * z / r, np.array([h * h / r])
+    delta = sum(nbr - prior for nbr in [prior, prior])
+    with_nbrs, _ = update_from_delta(prior, np.array([1.0]), u, w, delta, 0.05)
+    alone, _ = update_from_delta(prior, np.array([1.0]), u, w, np.zeros(1), 0.05)
     assert with_nbrs[0] == pytest.approx(alone[0])
 
 
 def test_update_variance_contraction():
-    _, var = update(np.array([0.0]), np.array([4.0]), np.array([1.0]), np.array([0.5]), [], 0.05)
+    h, z, r = 0.5, np.array([2.0]), 0.5
+    _, var = update_from_delta(np.array([0.0]), np.array([4.0]), h * z / r,
+                               np.array([h * h / r]), np.zeros(1), 0.05)
     assert var[0] == pytest.approx(1.0 / (1.0 / 4.0 + 0.5))
     assert var[0] <= 4.0
 
 
 @given(
     st.floats(0.1, 100.0),
-    st.floats(0.0, 10.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.01, 100.0),
     st.floats(-10, 10),
     st.floats(-10, 10),
 )
 @settings(max_examples=100, deadline=None)
-def test_update_never_inflates_variance(prior_var, weight, prior, fused):
-    _, var = update(np.array([prior]), np.array([prior_var]),
-                    np.array([fused]), np.array([weight]), [], 0.05)
+def test_update_never_inflates_variance(prior_var, h, r, prior, z):
+    _, var = update_from_delta(np.array([prior]), np.array([prior_var]), np.array([h * z / r]),
+                               np.array([h * h / r]), np.zeros(1), 0.05)
     assert var[0] <= prior_var * (1 + 1e-12)
-    if weight == 0:
+    if h == 0:
         assert var[0] == pytest.approx(prior_var)
 
 
@@ -202,9 +148,8 @@ def test_matches_textbook_kalman_50_steps():
     for t, z in enumerate(zs, start=1):
         if t > 1:
             prior, prior_var = predict(post, post_var, np.array([[a]]), np.array([q]))
-        msg = build_message(0, t, prior, 1.0, np.array([z]), np.array([r]))
-        y, w = fuse(msg, [])
-        post, post_var = update(prior, prior_var, y, w, [], 0.05)
+        post, post_var = update_from_delta(prior, prior_var, np.array([z / r]),
+                                           np.array([1.0 / r]), np.zeros(1), 0.05)
         got.append(post[0])
 
     np.testing.assert_allclose(got, ref, rtol=1e-10)
@@ -217,20 +162,95 @@ def test_initialize_empty_server_uninformative():
     assert prior_var[0] == 1e6 * 2.0 + 2.0
 
 
-# ------------------------------------------------------------------- codec
-
-def test_message_byte_size():
-    assert message_num_bytes(1) == 32
-    assert message_num_bytes(6) == 152
 
 
-def test_message_round_trip():
-    msg = NeighborMessage(sender=3, t=17, prior=np.array([1.5, -2.0]),
-                          weighted_value=np.array([0.25, 4.0]), weight=np.array([0.5, 0.0]))
-    blob = encode_message(msg)
-    assert len(blob) == message_num_bytes(2)
-    back = decode_message(blob)
-    assert back.sender == 3 and back.t == 17
-    np.testing.assert_array_equal(back.prior, msg.prior)
-    np.testing.assert_array_equal(back.weighted_value, msg.weighted_value)
-    np.testing.assert_array_equal(back.weight, msg.weight)
+# ------------------------------------- engine against a per-neighbour loop
+
+SIZES = np.array([0, 30, 50, 20, 40, 60])  # server 0 has no users
+
+
+def _run_fixed_partition(monkeypatch, algorithm):
+    monkeypatch.setattr(runners, "partition_users", lambda n, m, rng: SIZES.copy())
+    cfg = ExperimentConfig(
+        algorithm=algorithm, seed=7, timestamps=40, users=int(SIZES.sum()),
+        model=ModelConfig(q=(100.0,)), net=NetConfig(m=len(SIZES), rho=0.5, seed=11),
+    )
+    return cfg, runners.run_experiment(cfg)
+
+
+def _reference_releases(cfg, result, adj):
+    """Replay a one-dimensional run server by server, fusing over adj[i] one
+    neighbour at a time.
+
+    Per-release budgets come from the ledgers (inf without one), observations
+    and sampling masks from the run itself.
+    """
+    m, timestamps, d = result.releases.shape
+    coeff = SIZES / cfg.users
+    transition = build_transition(d, cfg.model.a, cfg.model.a_offdiag)
+    q = np.full(d, cfg.model.q[0])
+    eps = np.full((m, timestamps, d), np.inf)
+    for i, ledger in enumerate(result.ledgers or []):
+        for k in range(d):
+            for t, e in ledger.spends[k]:
+                eps[i, t - 1, k] = e
+    post = np.zeros((m, d))
+    post_var = np.tile(UNINFORMED_VARIANCE_SCALE * q, (m, 1))
+    initialized = np.zeros((m, d), dtype=bool)
+    releases = np.empty_like(result.releases)
+    variances = np.empty_like(result.posterior_var)
+    for tidx in range(timestamps):
+        z = result.observations[:, tidx]
+        sampled = result.sampled[:, tidx]
+        rhat = np.maximum(
+            effective_variance(coeff[:, None], eps[:, tidx], cfg.sensitivity_c, q,
+                               cfg.kcif.alpha),
+            cfg.kcif.variance_floor,
+        )
+        prior = np.empty((m, d))
+        prior_var = np.empty((m, d))
+        for i in range(m):
+            if sampled[i].all() and not initialized[i].any():
+                prior[i], prior_var[i] = initialize(z[i], coeff[i], rhat[i], transition, q)
+                initialized[i] = True
+            else:
+                prior[i], prior_var[i] = predict(post[i], post_var[i], transition, q)
+        for i in range(m):
+            value = np.where(sampled[i], coeff[i] * z[i] / rhat[i], 0.0)
+            weight = np.where(sampled[i], coeff[i] ** 2 / rhat[i], 0.0)
+            delta = np.zeros(d)
+            for j in np.flatnonzero(adj[i]):
+                if sampled[j].any():
+                    value = value + np.where(sampled[j], coeff[j] * z[j] / rhat[j], 0.0)
+                    weight = weight + np.where(sampled[j], coeff[j] ** 2 / rhat[j], 0.0)
+                    delta = delta + (prior[j] - prior[i])
+            post[i], post_var[i] = update_from_delta(
+                prior[i], prior_var[i], value, weight, delta, cfg.kcif.beta
+            )
+        releases[:, tidx] = post
+        variances[:, tidx] = post_var
+    return releases, variances
+
+
+def test_fuse_matches_brute_force(monkeypatch):
+    for algorithm in ("nonprivate", "dpcrowd"):
+        cfg, result = _run_fixed_partition(monkeypatch, algorithm)
+        adj = TopologySchedule(m=cfg.net.m, density=cfg.net.rho, seed=cfg.net.seed).adjacency_at(1)
+        assert adj.any() and not adj.all()
+        releases, variances = _reference_releases(cfg, result, adj)
+        np.testing.assert_allclose(result.releases, releases, rtol=1e-12)
+        np.testing.assert_allclose(result.posterior_var, variances, rtol=1e-12)
+
+
+def test_fuse_isolated_is_self(monkeypatch):
+    # fast never communicates: each server fuses its own information only
+    cfg, result = _run_fixed_partition(monkeypatch, "fast")
+    releases, variances = _reference_releases(cfg, result, np.zeros((cfg.net.m,) * 2, bool))
+    np.testing.assert_allclose(result.releases, releases, rtol=1e-12)
+    np.testing.assert_allclose(result.posterior_var, variances, rtol=1e-12)
+
+
+def test_empty_server_observes_zero(monkeypatch):
+    _, result = _run_fixed_partition(monkeypatch, "nonprivate")
+    assert np.all(result.observations[SIZES == 0] == 0.0)
+    assert np.all(result.observations[SIZES > 0] != 0.0)

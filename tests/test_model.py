@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpcrowd import runners
+from dpcrowd.config import ExperimentConfig, ModelConfig, NetConfig
 from dpcrowd.model import (
-    ObservationModel,
     ProcessModel,
     StreamPrefix,
     TrueState,
-    observe,
     partition_users,
     step_process,
 )
@@ -82,41 +82,35 @@ def test_partition_always_exhaustive(n, m):
     assert sizes.sum() == n
 
 
-def test_observation_model_coefficients_sum_to_one():
-    obs = ObservationModel(n=9, group_sizes=(3, 3, 3))
-    # three thirds don't float-sum to 1 exactly; the check tolerates 1e-12
-    assert abs(obs.coefficients.sum() - 1.0) < 1e-12
+# The engine forms each server's raw aggregate H r(t) + N(0, H^2 q) with
+# H = |G_i| / n; the non-private run publishes exactly those aggregates.
+
+def _sensing_residuals(monkeypatch, sizes, q, timestamps):
+    sizes = np.asarray(sizes)
+    monkeypatch.setattr(runners, "partition_users", lambda n, m, rng: sizes.copy())
+    cfg = ExperimentConfig(algorithm="nonprivate", timestamps=timestamps, users=int(sizes.sum()),
+                           model=ModelConfig(q=(q,)), net=NetConfig(m=len(sizes), rho=1.0))
+    result = runners.run_experiment(cfg)
+    coeff = (sizes / cfg.users)[:, None, None]
+    return result.observations - coeff * result.truth[None], coeff
 
 
-def test_observation_model_rejects_partial_cover():
-    with pytest.raises(ValueError):
-        ObservationModel(n=10, group_sizes=(3, 3, 3))
+def test_observe_noiseless(monkeypatch):
+    residuals, _ = _sensing_residuals(monkeypatch, [50, 50], 0.0, 20)
+    assert np.all(residuals == 0.0)
 
 
-def test_observe_noiseless():
-    out = observe(0.5, np.array([100.0]), np.array([0.0]), np.random.default_rng(0))
-    assert out[0] == 50.0
+def test_observe_noise_variance(monkeypatch):
+    # H=0.2 and 0.8, Q=25: residual / (H sqrt(Q)) is standard normal, 1e4 draws
+    residuals, coeff = _sensing_residuals(monkeypatch, [20, 80], 25.0, 5000)
+    z = residuals / (coeff * 5.0)
+    assert 0.95 < z.var() < 1.05
 
 
-def test_observe_empty_server():
-    out = observe(0.0, np.array([123.0]), np.array([0.0]), np.random.default_rng(0))
-    assert out[0] == 0.0
-
-
-def test_observe_noise_variance():
-    # H=0.2, Q=25: Var = H^2 Q = 1.0, within 5% at 1e4 draws
-    rng = np.random.default_rng(3)
-    draws = np.array([observe(0.2, np.array([0.0]), np.array([25.0]), rng)[0] for _ in range(10_000)])
-    assert 0.95 < draws.var() < 1.05
-
-
-def test_observe_unbiased():
-    rng = np.random.default_rng(4)
-    n = 20_000
-    draws = np.array([observe(0.4, np.array([50.0]), np.array([9.0]), rng)[0] for _ in range(n)])
-    # mean(x)/H -> r within 3 sigma / sqrt(N)
-    sigma = np.sqrt(0.16 * 9.0)
-    assert abs(draws.mean() / 0.4 - 50.0) < 3 * sigma / 0.4 / np.sqrt(n)
+def test_observe_unbiased(monkeypatch):
+    residuals, coeff = _sensing_residuals(monkeypatch, [40, 60], 9.0, 5000)
+    z = residuals / (coeff * 3.0)
+    assert abs(z.mean()) < 3.0 / np.sqrt(z.size)
 
 
 def test_stream_prefix_validation():

@@ -1,22 +1,26 @@
 import numpy as np
 
-from dpcrowd.kcif import NeighborMessage, message_num_bytes
+from dpcrowd.config import ExperimentConfig, ModelConfig, NetConfig
 from dpcrowd.netsim import (
     CommStats,
     TopologySchedule,
-    deliver_one_hop,
-    flood_broadcast,
+    _delivery_latency,
+    flood_payload_bytes,
     flood_reachability,
     generate_topology,
     graph_density,
     degrees,
     is_connected,
+    message_num_bytes,
 )
+from dpcrowd.runners import run_experiment
 
 
-def _msg(sender):
-    return NeighborMessage(sender=sender, t=1, prior=np.zeros(1),
-                           weighted_value=np.zeros(1), weight=np.zeros(1))
+def _run(algorithm):
+    cfg = ExperimentConfig(algorithm=algorithm, seed=3, timestamps=30, users=2000,
+                           model=ModelConfig(q=(1e3,)), net=NetConfig(m=10, rho=0.4, seed=9))
+    adj = TopologySchedule(m=10, density=0.4, seed=9).adjacency_at(1)
+    return run_experiment(cfg), adj
 
 
 # ---------------------------------------------------------------- topology
@@ -79,47 +83,37 @@ def test_is_connected():
 
 # ---------------------------------------------------------------- delivery
 
-def test_star_delivery_packet_count():
-    m = 5
-    adj = np.zeros((m, m), dtype=bool)
-    adj[0, 1:] = adj[1:, 0] = True
-    stats = CommStats()
-    inboxes = deliver_one_hop({0: _msg(0)}, adj, stats, np.random.default_rng(0))
-    assert stats.packets == 4
-    assert all(len(inboxes[i]) == 1 for i in range(1, m))
-    assert len(inboxes[0]) == 0
-
-
 def test_silent_round_zero_packets():
-    adj = generate_topology(5, 0.8, np.random.default_rng(2))
-    stats = CommStats()
-    deliver_one_hop({}, adj, stats, np.random.default_rng(0))
-    assert stats.packets == 0
-    assert stats.max_latency_ms == 0.0
+    # a round with no broadcast costs no latency draw, so later draws keep their order
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    assert _delivery_latency(0, rng, 100.0) == 0.0
+    assert rng.bit_generator.state == state
+    res, adj = _run("dpcrowd")
+    expected = [int(degrees(adj)[res.broadcast[:, t]].sum()) for t in range(30)]
+    assert res.stats.packets_by_t == expected
+    assert 0 in expected
 
 
 def test_degree_sum_accounting():
-    rng = np.random.default_rng(3)
-    adj = generate_topology(50, 0.3, rng)
-    stats = CommStats()
-    deliver_one_hop({i: _msg(i) for i in range(50)}, adj, stats, rng)
-    assert stats.packets == degrees(adj).sum()
-    assert stats.payload_bytes == stats.packets * message_num_bytes(1)
+    res, adj = _run("nonprivate")
+    assert res.stats.packets_by_t == [int(degrees(adj).sum())] * 30
+    assert res.stats.payload_bytes == res.stats.packets * message_num_bytes(1)
 
 
 def test_latency_bounds():
     rng = np.random.default_rng(4)
-    adj = generate_topology(10, 0.5, rng)
-    stats = CommStats()
-    deliver_one_hop({i: _msg(i) for i in range(10)}, adj, stats, rng, latency_center=100.0)
-    assert 80.0 <= stats.max_latency_ms <= 120.0
+    for count in (1, 10, 1000):
+        assert 80.0 <= _delivery_latency(count, rng, 100.0) <= 120.0
+    res, _ = _run("nonprivate")
+    assert 80.0 <= res.stats.max_latency_ms <= 120.0
 
 
-def test_inbox_order_is_by_sender():
-    adj = np.ones((3, 3), dtype=bool)
-    np.fill_diagonal(adj, False)
-    inboxes = deliver_one_hop({2: _msg(2), 0: _msg(0)}, adj)
-    assert [m.sender for m in inboxes[1]] == [0, 2]
+def test_message_byte_size():
+    assert message_num_bytes(1) == 32
+    assert message_num_bytes(6) == 152
+    assert flood_payload_bytes(1) == 16
+    assert flood_payload_bytes(6) == 56
 
 
 # ---------------------------------------------------------------- flooding
@@ -146,15 +140,6 @@ def test_flood_path_graph_diameter_hops():
     assert hops == 3
 
 
-def test_flood_partial_origins():
-    adj = np.ones((4, 4), dtype=bool)
-    np.fill_diagonal(adj, False)
-    delivered, hops, packets = flood_broadcast({1: "a", 2: "b"}, adj)
-    assert delivered[0] == {1: "a", 2: "b"}
-    assert delivered[3] == {1: "a", 2: "b"}
-    assert hops == 1
-
-
 def test_flood_disconnected_reaches_component_only():
     adj = np.zeros((4, 4), dtype=bool)
     adj[0, 1] = adj[1, 0] = True
@@ -165,12 +150,10 @@ def test_flood_disconnected_reaches_component_only():
 
 
 def test_flood_beats_one_hop_packets():
-    rng = np.random.default_rng(5)
-    adj = generate_topology(20, 0.3, rng)
-    stats = CommStats()
-    deliver_one_hop({i: _msg(i) for i in range(20)}, adj, stats, rng)
+    # one one-hop round with every server broadcasting sends sum(degrees) packets
+    adj = generate_topology(20, 0.3, np.random.default_rng(5))
     _, _, flood_packets, _ = flood_reachability(adj)
-    assert flood_packets >= stats.packets
+    assert flood_packets >= degrees(adj).sum()
 
 
 def test_comm_stats_accumulate():

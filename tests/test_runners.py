@@ -256,6 +256,20 @@ def test_dynamic_topology_smoke():
     assert len(set(res.stats.packets_by_t)) > 1
 
 
+def test_unstable_consensus_step_refused_only_where_consensus_runs():
+    # any graph with an edge has lambda_max(Laplacian) >= 2, so beta = 1 fails
+    from dpcrowd.config import ConfigError
+
+    unstable = KcifConfig(beta=1.0)
+    for dynamic in (False, True):
+        net = NetConfig(m=6, rho=0.6, dynamic=dynamic, seed=2)
+        with pytest.raises(ConfigError, match="kcif.beta"):
+            run_dpcrowd(_cfg(net=net, kcif=unstable))
+    net = NetConfig(m=6, rho=0.6, seed=2)
+    run_fast(_cfg(algorithm="fast", net=net, kcif=unstable)).verify()
+    run_dfast(_cfg(algorithm="dfast", net=net, kcif=unstable)).verify()
+
+
 def test_repartition_each_timestamp_smoke():
     cfg = _cfg(model=ModelConfig(q=(1e3,), freeze_partition=False))
     res = run_dpcrowd(cfg)

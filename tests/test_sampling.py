@@ -100,7 +100,7 @@ def test_interval_monotone_in_delta(d1, d2):
 # -------------------------------------------------------------- schedules
 
 def test_fixed_schedule_progression():
-    sched = SamplingSchedule(mode="fixed", interval=5)
+    sched = SamplingSchedule(interval=5)
     points = []
     for t in range(1, 16):
         if sched.is_sampling_point(t):
@@ -110,7 +110,7 @@ def test_fixed_schedule_progression():
 
 
 def test_sample_cap():
-    sched = SamplingSchedule(mode="fixed", interval=1, max_samples=2)
+    sched = SamplingSchedule(interval=1, max_samples=2)
     points = []
     for t in range(1, 10):
         if sched.is_sampling_point(t):
@@ -120,7 +120,7 @@ def test_sample_cap():
 
 
 def test_adaptive_schedule_uses_new_interval():
-    sched = SamplingSchedule(mode="adaptive", interval=1)
+    sched = SamplingSchedule(interval=1)
     for t in range(1, 5):
         if sched.is_sampling_point(t):
             sched.note_sampled(t, interval=3 if t == 4 else 1)
@@ -128,12 +128,12 @@ def test_adaptive_schedule_uses_new_interval():
 
 
 def test_t1_always_samples():
-    sched = SamplingSchedule(mode="adaptive", interval=7)
+    sched = SamplingSchedule(interval=7)
     assert sched.is_sampling_point(1)
 
 
 def test_skip_retries_after_current_interval():
-    sched = SamplingSchedule(mode="adaptive", interval=4)
+    sched = SamplingSchedule(interval=4)
     assert sched.is_sampling_point(1)
     sched.note_skipped(1)  # e.g. no budget granted
     assert not sched.is_sampling_point(2)
