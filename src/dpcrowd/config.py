@@ -188,8 +188,9 @@ class ExperimentConfig:
             raise ConfigError("kcif.alpha must be positive")
         if self.kcif.beta < 0:
             raise ConfigError("kcif.beta must be non-negative")
-        if self.kcif.variance_floor < 0:
-            raise ConfigError("kcif.variance_floor must be non-negative")
+        if self.kcif.variance_floor <= 0:
+            # R_hat is a divisor: a zero-user server's is 0 in non-private runs
+            raise ConfigError("kcif.variance_floor must be positive")
 
 
 _SECTIONS = {

@@ -10,12 +10,9 @@ over the adjacency and passes the totals to update_from_delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "KcifParams",
     "effective_variance",
     "prediction_gain",
     "predict",
@@ -25,28 +22,6 @@ __all__ = [
 
 # Fallback prior weight for a server that starts with no usable observation.
 UNINFORMED_VARIANCE_SCALE = 1e6
-
-
-@dataclass(frozen=True)
-class KcifParams:
-    """Filter-wide constants.
-
-    alpha scales the effective observation variance; consensus_step is the
-    relative step size of the consensus correction; variance_floor keeps the
-    effective variance strictly positive in noiseless configurations.
-    """
-
-    alpha: float = 1.0
-    consensus_step: float = 0.05
-    variance_floor: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.consensus_step < 0:
-            raise ValueError("consensus step must be non-negative")
-        if self.variance_floor < 0:
-            raise ValueError("variance floor must be non-negative")
 
 
 def effective_variance(coefficient, eps_t, sensitivity, process_var, alpha: float = 1.0):

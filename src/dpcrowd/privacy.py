@@ -10,7 +10,6 @@ recorded, so an accepted history can never exceed the budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,6 @@ __all__ = [
     "laplace_sample",
     "perturb_count",
     "PrivacyLedger",
-    "AllocationConfig",
     "allocate_uniform",
     "allocate_adaptive",
 ]
@@ -166,33 +164,9 @@ def allocate_uniform(epsilon_total: float, num_samples: int) -> float:
     return epsilon_total / num_samples
 
 
-@dataclass(frozen=True)
-class AllocationConfig:
-    """Knobs for adaptive per-timestamp budget allocation."""
-
-    epsilon_total: float
-    w: int
-    mu: float = 0.5
-    p_max: float = 0.6
-    eps_max: float | None = None  # defaults to epsilon_total / 2
-
-    def __post_init__(self) -> None:
-        if self.epsilon_total <= 0:
-            raise ValueError("epsilon_total must be positive")
-        if self.w < 1:
-            raise ValueError("w must be >= 1")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if not 0.0 < self.p_max <= 1.0:
-            raise ValueError("p_max must lie in (0, 1]")
-        if self.eps_max is None:
-            object.__setattr__(self, "eps_max", self.epsilon_total / 2.0)
-        elif self.eps_max <= 0:
-            raise ValueError("eps_max must be positive")
-
-
 def allocate_adaptive(
-    ledger: PrivacyLedger, dim: int, t: int, interval: int, cfg: AllocationConfig
+    ledger: PrivacyLedger, dim: int, t: int, interval: int, mu: float, p_max: float,
+    eps_max: float,
 ) -> float:
     """Budget for one sampling timestamp under w-event accounting.
 
@@ -200,13 +174,14 @@ def allocate_adaptive(
     p = min(mu * ln(interval + 1), p_max) of the remaining window budget is
     granted, capped at eps_max. Returns 0 when the window is exhausted; the
     caller must then approximate instead of sampling. The result never
-    exceeds the remaining window budget, so charging it cannot violate the
-    ledger (up to the ledger's own fail-closed check).
+    exceeds the remaining window budget while p_max <= 1 (ExperimentConfig
+    .validate checks mu, p_max and the eps_max fraction), so charging it
+    cannot violate the ledger (up to the ledger's own fail-closed check).
     """
     if interval < 1:
         raise ValueError(f"interval must be >= 1, got {interval}")
     remaining = ledger.remaining_window(dim, t)
     if remaining <= 0:
         return 0.0
-    portion = min(cfg.mu * math.log(interval + 1.0), cfg.p_max)
-    return min(portion * remaining, cfg.eps_max)
+    portion = min(mu * math.log(interval + 1.0), p_max)
+    return min(portion * remaining, eps_max)

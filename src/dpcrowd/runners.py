@@ -10,7 +10,7 @@ draw for draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,12 +18,11 @@ from . import kcif
 from .config import ExperimentConfig, ConfigError
 from .datasets import build_transition, generate_stream, load_csv
 from .grouping import GroupingThresholds, group_regions, perturb_groups, predict_region
-from .kcif import KcifParams
 from .model import ProcessModel, partition_users
 from .netsim import CommStats, TopologySchedule, _delivery_latency, degrees, \
     flood_payload_bytes, flood_reachability, message_num_bytes
-from .privacy import AllocationConfig, BudgetError, PrivacyLedger, allocate_adaptive, \
-    allocate_uniform, perturb_count
+from .privacy import BudgetError, PrivacyLedger, allocate_adaptive, allocate_uniform, \
+    perturb_count
 from .sampling import PidController, SamplingSchedule, feedback_error, next_interval, \
     next_interval_plus
 
@@ -40,16 +39,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class _Policy:
-    name: str
-    perturb: bool  # Laplace noise on aggregates
-    always_sample: bool  # no schedule, broadcast every timestamp
-    allocation: str  # 'uniform' | 'adaptive'
-    ledger_mode: str | None  # 'user' | 'w_event' | None
-    grouping: bool
-    interval_law: str  # 'quadratic' | 'budget'
-    communicate: bool
-    flood: bool
-    window_restart: bool  # restart filters/budgets every w timestamps
+    ledger_mode: str | None  # 'user' | 'w_event' | None (no privacy)
+    adaptive: bool  # w-event budget allocation, budget-aware intervals, grouping
+    communicate: bool  # one-hop consensus exchange
+    flood: bool  # network-wide flooding and unweighted averaging
+    window_restart: bool  # restart filters/schedules every w timestamps
 
 
 @dataclass
@@ -166,11 +160,8 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     m = cfg.net.m
     timestamps = cfg.timestamps
     sensitivity = cfg.sensitivity_c
-    params = KcifParams(
-        alpha=cfg.kcif.alpha,
-        consensus_step=cfg.kcif.beta,
-        variance_floor=cfg.kcif.variance_floor,
-    )
+    private = policy.ledger_mode is not None
+    grouping = policy.adaptive and cfg.grouping.enabled
     process = _build_process(cfg)
     transition = process.transition
     q_diag = process.noise_var
@@ -196,67 +187,17 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     obs_noise = np.stack([rng.standard_normal((timestamps, d)) for rng in server_rngs])
 
     ledgers: list[PrivacyLedger] | None = None
-    if policy.ledger_mode is not None:
+    if private:
         ledgers = [
             PrivacyLedger(policy.ledger_mode, cfg.epsilon, dims=d, w=cfg.w)
             for _ in range(m)
         ]
-    alloc_cfg = None
-    if policy.allocation == "adaptive":
-        alloc_cfg = AllocationConfig(
-            epsilon_total=cfg.epsilon, w=cfg.w, mu=cfg.mu, p_max=cfg.p_max,
-            eps_max=cfg.epsilon * cfg.eps_max_fraction,
-        )
-    thresholds = _grouping_thresholds(cfg) if policy.grouping else None
+    eps_max = cfg.epsilon * cfg.eps_max_fraction
+    thresholds = _grouping_thresholds(cfg) if grouping else None
 
     block_len = cfg.w if policy.window_restart else timestamps
-
-    def fresh_schedules(start_t: int, length: int) -> list[list[SamplingSchedule]]:
-        cap = None
-        if not policy.always_sample:
-            if policy.allocation == "uniform":
-                cap = _planned_samples(
-                    cfg.sampling.mode, length, cfg.sampling.interval, cfg.sampling.max_fraction
-                )
-            # adaptive allocation runs in infinite-stream mode: no sample cap
-        return [
-            [
-                SamplingSchedule(
-                    interval=cfg.sampling.interval, next_sample_t=start_t, max_samples=cap
-                )
-                for _ in range(d)
-            ]
-            for _ in range(m)
-        ]
-
-    def fresh_pids() -> list[list[PidController]]:
-        return [
-            [
-                PidController(
-                    proportional=cfg.pid.cp, integral=cfg.pid.ci,
-                    derivative=cfg.pid.cd, window=cfg.pid.ti,
-                )
-                for _ in range(d)
-            ]
-            for _ in range(m)
-        ]
-
-    def block_eps(length: int) -> float:
-        planned = _planned_samples(
-            cfg.sampling.mode, length, cfg.sampling.interval, cfg.sampling.max_fraction
-        )
-        return allocate_uniform(cfg.epsilon, planned)
-
-    schedules = fresh_schedules(1, min(block_len, timestamps))
-    pids = fresh_pids()
-    eps_uniform = block_eps(min(block_len, timestamps)) if policy.allocation == "uniform" else 0.0
-
     uninformed = np.where(q_diag > 0, kcif.UNINFORMED_VARIANCE_SCALE * q_diag,
                           kcif.UNINFORMED_VARIANCE_SCALE)
-    posterior = np.zeros((m, d))
-    posterior_var = np.tile(uninformed, (m, 1))
-    initialized = np.zeros((m, d), dtype=bool)
-    last_rhat = np.full((m, d), np.inf)
 
     releases = np.empty((m, timestamps, d))
     observations = np.empty((m, timestamps, d))
@@ -271,11 +212,38 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
 
     for tidx in range(timestamps):
         t = tidx + 1
-        if policy.window_restart and tidx > 0 and tidx % block_len == 0:
-            length = min(block_len, timestamps - tidx)
-            schedules = fresh_schedules(t, length)
-            pids = fresh_pids()
-            eps_uniform = block_eps(length)
+        if tidx % block_len == 0:
+            # Block start: fresh filters and, in private runs, fresh schedules
+            # and PID state. Uniform allocation splits the budget evenly over
+            # the block's planned samples and caps the schedules at that count;
+            # adaptive allocation runs in infinite-stream mode with no cap.
+            if private:
+                cap = None
+                if not policy.adaptive:
+                    cap = _planned_samples(
+                        cfg.sampling.mode, min(block_len, timestamps - tidx),
+                        cfg.sampling.interval, cfg.sampling.max_fraction,
+                    )
+                    eps_uniform = allocate_uniform(cfg.epsilon, cap)
+                schedules = [
+                    [
+                        SamplingSchedule(
+                            interval=cfg.sampling.interval, next_sample_t=t, max_samples=cap
+                        )
+                        for _ in range(d)
+                    ]
+                    for _ in range(m)
+                ]
+                pids = [
+                    [
+                        PidController(
+                            proportional=cfg.pid.cp, integral=cfg.pid.ci,
+                            derivative=cfg.pid.cd, window=cfg.pid.ti,
+                        )
+                        for _ in range(d)
+                    ]
+                    for _ in range(m)
+                ]
             posterior = np.zeros((m, d))
             posterior_var = np.tile(uninformed, (m, 1))
             initialized = np.zeros((m, d), dtype=bool)
@@ -283,7 +251,7 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
 
         adj = topo.adjacency_at(t) if adj_needed else None
         if policy.communicate and adj is not None and adj is not checked_adj:
-            _check_consensus_stability(adj, params.consensus_step)
+            _check_consensus_stability(adj, cfg.kcif.beta)
             checked_adj = adj
         if not cfg.model.freeze_partition:
             sizes = partition_users(cfg.users, m, partition_rng)
@@ -294,81 +262,70 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
         # and by nothing else in private modes.
         x_raw = coeff[:, None] * truth[tidx][None, :] + noise_scale * obs_noise[:, tidx, :]
 
-        sampled = np.zeros((m, d), dtype=bool)
-        z = np.empty((m, d))
+        # eps_used stays inf wherever no noise was added, which drops the
+        # perturbation term from R_hat.
         eps_used = np.full((m, d), np.inf)
-        eps_left_after = np.zeros((m, d))
-
-        if policy.always_sample:
-            sampled[:] = True
-            z[:] = x_raw
+        if not private:
+            sampled = np.ones((m, d), dtype=bool)
+            z = x_raw
         else:
-            prev = releases[:, tidx - 1, :] if tidx > 0 else np.zeros((m, d))
+            sampled = np.zeros((m, d), dtype=bool)
+            # An unsampled dimension repeats the server's previous release.
+            z = releases[:, tidx - 1, :].copy() if tidx else np.zeros((m, d))
+            eps_left_after = np.zeros((m, d))
             for i in range(m):
                 due = [k for k in range(d) if schedules[i][k].is_sampling_point(t)]
                 granted: list[int] = []
                 grants = np.zeros(d)
                 for k in due:
-                    if policy.allocation == "uniform":
-                        grant = eps_uniform
-                        before = math.inf
-                    else:
-                        assert ledgers is not None and alloc_cfg is not None
+                    if policy.adaptive:
                         before = ledgers[i].remaining_window(k, t)
                         grant = allocate_adaptive(
-                            ledgers[i], k, t, schedules[i][k].interval, alloc_cfg
+                            ledgers[i], k, t, schedules[i][k].interval, cfg.mu, cfg.p_max,
+                            eps_max,
                         )
+                    else:
+                        grant = eps_uniform
+                        before = math.inf
                     if grant <= 0.0:
                         schedules[i][k].note_skipped(t)
                         continue
-                    if ledgers is not None:
-                        try:
-                            ledgers[i].charge(k, t, grant)
-                        except BudgetError:
-                            schedules[i][k].note_skipped(t)
-                            continue
+                    try:
+                        ledgers[i].charge(k, t, grant)
+                    except BudgetError:
+                        schedules[i][k].note_skipped(t)
+                        continue
                     granted.append(k)
                     grants[k] = grant
                     eps_left_after[i, k] = max(0.0, min(before, cfg.epsilon) - grant)
-                if granted:
-                    sampled[i, granted] = True
-                    eps_used[i, granted] = grants[granted]
-                    if policy.perturb:
-                        if policy.grouping:
-                            assert thresholds is not None
-                            history = releases[i, :tidx, :]
-                            predictions = [
-                                predict_region(history[:, k], thresholds.history_window)
-                                for k in range(d)
-                            ]
-                            partition = group_regions(
-                                granted, predictions,
-                                [history[:, k] for k in range(d)], thresholds,
-                            )
-                            shares = perturb_groups(
-                                partition, x_raw[i], grants, sensitivity, server_rngs[i]
-                            )
-                            for k, value in sorted(shares.items()):
-                                z[i, k] = value
-                        else:
-                            for k in granted:
-                                z[i, k] = perturb_count(
-                                    x_raw[i, k], sensitivity, grants[k], server_rngs[i]
-                                )
-                    else:
-                        z[i, granted] = x_raw[i, granted]
-                for k in range(d):
-                    if not sampled[i, k]:
-                        z[i, k] = prev[i, k]
+                if not granted:
+                    continue
+                sampled[i, granted] = True
+                eps_used[i, granted] = grants[granted]
+                if grouping:
+                    history = releases[i, :tidx, :]
+                    predictions = [
+                        predict_region(history[:, k], thresholds.history_window)
+                        for k in range(d)
+                    ]
+                    partition = group_regions(
+                        granted, predictions, [history[:, k] for k in range(d)], thresholds,
+                    )
+                    shares = perturb_groups(
+                        partition, x_raw[i], grants, sensitivity, server_rngs[i]
+                    )
+                    for k, value in sorted(shares.items()):
+                        z[i, k] = value
+                else:
+                    for k in granted:
+                        z[i, k] = perturb_count(
+                            x_raw[i, k], sensitivity, grants[k], server_rngs[i]
+                        )
 
-        if policy.perturb:
-            rhat_eps = np.where(sampled, eps_used, np.inf)
-        else:
-            rhat_eps = np.full((m, d), np.inf)
         rhat = kcif.effective_variance(
-            coeff[:, None], rhat_eps, sensitivity, q_diag[None, :], params.alpha
+            coeff[:, None], eps_used, sensitivity, q_diag[None, :], cfg.kcif.alpha
         )
-        rhat = np.maximum(rhat, params.variance_floor)
+        rhat = np.maximum(rhat, cfg.kcif.variance_floor)
 
         prior, prior_var = kcif.predict(posterior, posterior_var, transition, q_diag)
         init_mask = sampled & ~initialized
@@ -395,7 +352,6 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
 
         active = sampled.any(axis=1)
         if policy.communicate and m > 1:
-            assert adj is not None
             link = adj.astype(float)
             fused_value = u + stale_u + link @ u
             fused_weight = weight + stale_w + link @ weight
@@ -414,13 +370,12 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                 stats.record_round(0, 0, 0.0)
 
         posterior, posterior_var = kcif.update_from_delta(
-            prior, prior_var, fused_value, fused_weight, prior_delta, params.consensus_step
+            prior, prior_var, fused_value, fused_weight, prior_delta, cfg.kcif.beta
         )
 
         release_t = posterior
         if policy.flood:
             if m > 1:
-                assert adj is not None
                 known, _, fpackets, rounds = flood_reachability(adj)
                 counts = known.sum(axis=1).astype(float)
                 # servers holding the same payload set must release bitwise
@@ -448,31 +403,22 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
         posterior_var_trace[:, tidx, :] = posterior_var
         sampled_trace[:, tidx, :] = sampled
 
-        if not policy.always_sample:
-            adaptive = cfg.sampling.mode == "adaptive"
-            for i in range(m):
-                if not sampled[i].any():
+        if private:
+            for i, k in zip(*np.nonzero(sampled)):
+                if cfg.sampling.mode == "fixed":
+                    schedules[i][k].note_sampled(t)
                     continue
-                for k in range(d):
-                    if not sampled[i, k]:
-                        continue
-                    if adaptive:
-                        err = feedback_error(
-                            float(prior[i, k]), float(posterior[i, k]), cfg.pid.delta
-                        )
-                        control = pids[i][k].update(err, t)
-                        if policy.interval_law == "quadratic":
-                            interval = next_interval(
-                                schedules[i][k].interval, control, cfg.pid.theta, cfg.pid.xi
-                            )
-                        else:
-                            interval = next_interval_plus(
-                                schedules[i][k].interval, control,
-                                eps_left_after[i, k], cfg.pid.theta,
-                            )
-                        schedules[i][k].note_sampled(t, interval)
-                    else:
-                        schedules[i][k].note_sampled(t)
+                err = feedback_error(float(prior[i, k]), float(posterior[i, k]), cfg.pid.delta)
+                control = pids[i][k].update(err, t)
+                if policy.adaptive:
+                    interval = next_interval_plus(
+                        schedules[i][k].interval, control, eps_left_after[i, k], cfg.pid.theta
+                    )
+                else:
+                    interval = next_interval(
+                        schedules[i][k].interval, control, cfg.pid.theta, cfg.pid.xi
+                    )
+                schedules[i][k].note_sampled(t, interval)
 
     result = RunResult(
         config=cfg,
@@ -489,36 +435,27 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     return result
 
 
+# ledger_mode None runs without privacy: raw aggregates, sampled every
+# timestamp. adaptive turns on the budget-driven allocation, the budget-aware
+# interval law and (unless grouping.enabled is false) dynamic grouping.
 _POLICIES = {
     "nonprivate": _Policy(
-        name="nonprivate", perturb=False, always_sample=True, allocation="uniform",
-        ledger_mode=None, grouping=False, interval_law="quadratic",
-        communicate=True, flood=False, window_restart=False,
+        ledger_mode=None, adaptive=False, communicate=True, flood=False, window_restart=False,
     ),
     "dpcrowd": _Policy(
-        name="dpcrowd", perturb=True, always_sample=False, allocation="uniform",
-        ledger_mode="user", grouping=False, interval_law="quadratic",
-        communicate=True, flood=False, window_restart=False,
+        ledger_mode="user", adaptive=False, communicate=True, flood=False, window_restart=False,
     ),
     "fast": _Policy(
-        name="fast", perturb=True, always_sample=False, allocation="uniform",
-        ledger_mode="user", grouping=False, interval_law="quadratic",
-        communicate=False, flood=False, window_restart=False,
+        ledger_mode="user", adaptive=False, communicate=False, flood=False, window_restart=False,
     ),
     "dfast": _Policy(
-        name="dfast", perturb=True, always_sample=False, allocation="uniform",
-        ledger_mode="user", grouping=False, interval_law="quadratic",
-        communicate=False, flood=True, window_restart=False,
+        ledger_mode="user", adaptive=False, communicate=False, flood=True, window_restart=False,
     ),
     "dpcrowd_plus": _Policy(
-        name="dpcrowd_plus", perturb=True, always_sample=False, allocation="adaptive",
-        ledger_mode="w_event", grouping=True, interval_law="budget",
-        communicate=True, flood=False, window_restart=False,
+        ledger_mode="w_event", adaptive=True, communicate=True, flood=False, window_restart=False,
     ),
     "dpcrowd_w": _Policy(
-        name="dpcrowd_w", perturb=True, always_sample=False, allocation="uniform",
-        ledger_mode="w_event", grouping=False, interval_law="quadratic",
-        communicate=True, flood=False, window_restart=True,
+        ledger_mode="w_event", adaptive=False, communicate=True, flood=False, window_restart=True,
     ),
 }
 
@@ -548,10 +485,7 @@ def run_dfast(cfg: ExperimentConfig) -> RunResult:
 def run_dpcrowd_plus(cfg: ExperimentConfig) -> RunResult:
     """w-event private multi-dimensional estimation with budget-aware sampling
     and dynamic grouping."""
-    policy = _POLICIES["dpcrowd_plus"]
-    if not cfg.grouping.enabled:
-        policy = replace(policy, grouping=False)
-    return _simulate(cfg, policy)
+    return _simulate(cfg, _POLICIES["dpcrowd_plus"])
 
 
 def run_dpcrowd_w(cfg: ExperimentConfig) -> RunResult:

@@ -166,3 +166,29 @@ def test_dense_graph_consensus_step_is_refused(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert "kcif.beta" in capsys.readouterr().err
     assert not out.exists()
+
+
+NONPRIVATE_CFG = """
+algorithm = nonprivate
+seed = 5
+timestamps = 20
+users = 3
+net.m = 4
+net.rho = 0.6
+"""
+
+
+def test_zero_variance_floor_is_refused(tmp_path, capsys):
+    # with 3 users on 4 servers some server is empty, and its R_hat is 0
+    cfg = _write_cfg(tmp_path, NONPRIVATE_CFG + "kcif.variance_floor = 0\n")
+    out = tmp_path / "r.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "kcif.variance_floor" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nonprivate_runs_at_zero_epsilon(tmp_path):
+    cfg = _write_cfg(tmp_path, NONPRIVATE_CFG + "epsilon = 0\n")
+    out = tmp_path / "r.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert out.exists()

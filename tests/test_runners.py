@@ -80,6 +80,22 @@ def test_dpcrowd_full_rate_spends_whole_budget():
         assert (res.sampled[:, :, 0]).all()
 
 
+def test_windowed_baseline_partial_last_block_spends():
+    # T = 45, w = 20: blocks [1, 20], [21, 40] and a 5-long last block [41, 45],
+    # each planned for one sample per timestamp.
+    cfg = _cfg(algorithm="dpcrowd_w", timestamps=45, w=20,
+               sampling=SamplingConfig(mode="fixed", interval=1, max_fraction=1.0))
+    res = run_dpcrowd_w(cfg)
+    for led in res.ledgers:
+        spends = led.spends[0]
+        assert [ts for ts, _ in spends if ts <= 40] == list(range(1, 41))
+        assert all(e == cfg.epsilon / 20 for ts, e in spends if ts <= 40)
+        # The w-event ledger refuses eps/5 until the window [t - 19, t] holds
+        # no more than 16 spends of eps/20, i.e. from t = 44 on.
+        assert [(ts, e) for ts, e in spends if ts > 40] == [(44, cfg.epsilon / 5)]
+        led.audit()
+
+
 def test_dpcrowd_plus_every_window_bounded():
     cfg = _cfg(algorithm="dpcrowd_plus", w=8, timestamps=50,
                model=ModelConfig(d=3, a=0.8, a_offdiag=0.05, q=(1e3,)))
@@ -198,6 +214,14 @@ def test_plus_large_dims_perturbed_independently():
 
 
 # -------------------------------------------------------- filter behavior
+
+def test_nonprivate_ignores_epsilon():
+    a = run_nonprivate(_cfg(algorithm="nonprivate", epsilon=0.0))
+    b = run_nonprivate(_cfg(algorithm="nonprivate", epsilon=1.0))
+    assert a.ledgers is None
+    assert np.array_equal(a.releases, b.releases)
+    assert np.array_equal(a.posterior_var, b.posterior_var)
+
 
 def test_nonprivate_single_server_tracks_truth_exactly():
     cfg = _cfg(algorithm="nonprivate", net=NetConfig(m=1, rho=1.0, seed=3),
