@@ -19,6 +19,7 @@ from .metrics import compute_ace, compute_are, summarize
 from .privacy import BudgetError, PrivacyLedger, laplace_sample, perturb_count
 from .report import write_report
 from .runners import (
+    RunDivergedError,
     RunResult,
     run_dfast,
     run_dpcrowd,
@@ -38,6 +39,7 @@ __all__ = [
     "CsvFormatError",
     "ExperimentConfig",
     "PrivacyLedger",
+    "RunDivergedError",
     "RunResult",
     "SEED_ENV_VAR",
     "apply_override",

@@ -1,7 +1,8 @@
 """Command-line entry point: run experiments, sweep parameters, generate data.
 
 Exit status is 0 on success and 2 on any diagnosed failure (bad config,
-unreadable data, exhausted budget), with the reason printed to stderr.
+unreadable data, exhausted budget, a diverged run), with the reason printed
+to stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .config import ConfigError, ExperimentConfig, apply_override, load_config
 from .datasets import CsvFormatError, gen_linear, gen_multilinear, save_csv
 from .privacy import BudgetError
 from .report import summary_record, write_report
-from .runners import RunResult, run_experiment
+from .runners import RunDivergedError, RunResult, run_experiment
 
 __all__ = ["main", "expand_runs"]
 
@@ -124,7 +125,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CsvFormatError, BudgetError) as exc:
+    except (ConfigError, CsvFormatError, BudgetError, RunDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -70,7 +70,7 @@ def padded_history(history: Sequence[float], window: int) -> np.ndarray:
     """Last `window` values, front-padded by repeating the earliest one."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    vals = [float(v) for v in history][-window:]
+    vals = [float(v) for v in history[-window:]]
     if not vals:
         return np.zeros(window)
     if len(vals) < window:

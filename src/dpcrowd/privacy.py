@@ -4,12 +4,15 @@ Budgets are tracked per dimension. Two modes exist: 'user' (one budget over
 the whole finite stream) and 'w_event' (every sliding window of w timestamps
 must stay within the budget, per dimension). Charges are fail-closed: a
 request that would breach any window raises BudgetError and nothing is
-recorded, so an accepted history can never exceed the budget.
+recorded, so an accepted history can never exceed the budget. Charges arrive
+in timestamp order per dimension, so a w-event charge only has to check the
+window ending at its own timestamp.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -95,9 +98,23 @@ class PrivacyLedger:
         self.w = int(w)
         self.spends: list[list[tuple[int, float]]] = [[] for _ in range(dims)]
 
+    def _window_spends(self, dim: int, lo: int, hi: int) -> list[float]:
+        """Spends at timestamps lo..hi, walking back from the newest spend.
+
+        Spends are recorded in timestamp order, so the walk stops at the first
+        one older than lo and touches only the window, not the history.
+        """
+        found = []
+        for ts, e in reversed(self.spends[dim]):
+            if ts < lo:
+                break
+            if ts <= hi:
+                found.append(e)
+        return found
+
     def window_spent(self, dim: int, lo: int, hi: int) -> float:
         """Exact (fsum) spend over timestamps lo..hi inclusive for one dimension."""
-        return math.fsum(e for (ts, e) in self.spends[dim] if lo <= ts <= hi)
+        return math.fsum(self._window_spends(dim, lo, hi))
 
     def total_spent(self, dim: int) -> float:
         return math.fsum(e for (_, e) in self.spends[dim])
@@ -114,45 +131,59 @@ class PrivacyLedger:
     def charge(self, dim: int, t: int, eps_t: float) -> None:
         """Record a spend of eps_t at timestamp t, or raise BudgetError.
 
-        The check sums with math.fsum, the same accumulation the brute-force
-        audit uses, so accepted histories pass the audit exactly.
+        t may not precede the dimension's latest spend (ValueError). The check
+        sums with math.fsum, which is correctly rounded, so accepted histories
+        pass the audit exactly whatever order either one sums in.
         """
         if not 0 <= dim < self.dims:
             raise KeyError(f"dimension {dim} out of range [0, {self.dims})")
         if eps_t < 0 or not math.isfinite(eps_t):
             raise ValueError(f"charge must be finite and non-negative, got {eps_t}")
+        spends = self.spends[dim]
+        if spends and t < spends[-1][0]:
+            raise ValueError(
+                f"charge at t={t} precedes the latest spend at t={spends[-1][0]} "
+                f"in dimension {dim}; charges must arrive in timestamp order"
+            )
         if self.mode == "user":
-            attempted = math.fsum([e for (_, e) in self.spends[dim]] + [eps_t])
+            attempted = math.fsum([e for (_, e) in spends] + [eps_t])
             if attempted > self.epsilon_total:
                 raise BudgetError(dim, (-(2**31), 2**31), attempted, self.epsilon_total)
         else:
-            # Every window that contains t must stay within budget, including
-            # windows that end after t (they hold only already-known spends).
-            for end in range(t, t + self.w):
-                lo = end - self.w + 1
-                attempted = math.fsum(
-                    [e for (ts, e) in self.spends[dim] if lo <= ts <= end] + [eps_t]
-                )
-                if attempted > self.epsilon_total:
-                    raise BudgetError(dim, (lo, end), attempted, self.epsilon_total)
-        self.spends[dim].append((t, eps_t))
+            # Every window holding t must stay within budget. No spend is
+            # newer than t, so each later window holds a subset of the spends
+            # in the window ending at t; with non-negative spends and an exact
+            # sum, that window is the only one that can breach.
+            lo = t - self.w + 1
+            attempted = math.fsum(self._window_spends(dim, lo, t) + [eps_t])
+            if attempted > self.epsilon_total:
+                raise BudgetError(dim, (lo, t), attempted, self.epsilon_total)
+        spends.append((t, eps_t))
 
     def audit(self) -> None:
-        """Brute-force re-scan of every recorded window; raises on violation."""
+        """Independent re-scan of every recorded window; raises on violation.
+
+        Shares no code with charge and does not trust the recorded order. In
+        w-event mode a window holding the spend set S lies inside the window
+        that starts at min(S), and an exact sum of non-negative spends only
+        grows with the set, so checking the windows that start at a spend
+        timestamp rejects exactly what a scan of every window rejects.
+        """
         for dim in range(self.dims):
             if self.mode == "user":
                 total = self.total_spent(dim)
                 if total > self.epsilon_total:
                     raise BudgetError(dim, (-(2**31), 2**31), total, self.epsilon_total)
-            else:
-                stamps = [ts for (ts, _) in self.spends[dim]]
-                if not stamps:
-                    continue
-                for end in range(min(stamps), max(stamps) + self.w):
-                    lo = end - self.w + 1
-                    total = math.fsum(e for (ts, e) in self.spends[dim] if lo <= ts <= end)
-                    if total > self.epsilon_total:
-                        raise BudgetError(dim, (lo, end), total, self.epsilon_total)
+                continue
+            ordered = sorted(self.spends[dim])
+            stamps = [ts for (ts, _) in ordered]
+            for start in sorted(set(stamps)):
+                end = start + self.w - 1
+                first = bisect_left(stamps, start)
+                stop = bisect_right(stamps, end)
+                total = math.fsum(e for (_, e) in ordered[first:stop])
+                if total > self.epsilon_total:
+                    raise BudgetError(dim, (start, end), total, self.epsilon_total)
 
 
 def allocate_uniform(epsilon_total: float, num_samples: int) -> float:

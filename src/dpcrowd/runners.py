@@ -27,6 +27,7 @@ from .sampling import PidController, SamplingSchedule, feedback_error, next_inte
     next_interval_plus
 
 __all__ = [
+    "RunDivergedError",
     "RunResult",
     "run_nonprivate",
     "run_dpcrowd",
@@ -44,6 +45,10 @@ class _Policy:
     communicate: bool  # one-hop consensus exchange
     flood: bool  # network-wide flooding and unweighted averaging
     window_restart: bool  # restart filters/schedules every w timestamps
+
+
+class RunDivergedError(RuntimeError):
+    """A run finished with a non-finite release, so it has no report."""
 
 
 @dataclass
@@ -77,8 +82,13 @@ class RunResult:
         m, timestamps, d = self.releases.shape
         if self.truth.shape != (timestamps, d):
             raise AssertionError("truth shape does not match releases")
-        if not np.all(np.isfinite(self.releases)):
-            raise AssertionError("non-finite release")
+        bad = np.argwhere(~np.isfinite(self.releases))
+        if len(bad):
+            i, tidx, k = bad[0]
+            raise RunDivergedError(
+                f"run diverged: non-finite release {self.releases[i, tidx, k]} at server {i}, "
+                f"t={tidx + 1}, dimension {k} ({len(bad)} non-finite values in all)"
+            )
         if self.broadcast.shape != (m, timestamps):
             raise AssertionError("broadcast mask shape mismatch")
         if len(self.stats.packets_by_t) != timestamps:
@@ -207,7 +217,7 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     stats = CommStats(broadcasts=np.zeros(m, dtype=np.int64))
 
     adj_needed = (policy.communicate or policy.flood) and m > 1
-    checked_adj = None
+    checked_adj = flood_adj = None
     noise_scale = coeff[:, None] * np.sqrt(q_diag)[None, :]
 
     for tidx in range(timestamps):
@@ -376,12 +386,15 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
         release_t = posterior
         if policy.flood:
             if m > 1:
-                known, _, fpackets, rounds = flood_reachability(adj)
-                counts = known.sum(axis=1).astype(float)
-                # servers holding the same payload set must release bitwise
-                # identical averages, so sum each distinct set once in index
-                # order instead of letting a blocked matmul pick the order
-                uniq, inverse = np.unique(known, axis=0, return_inverse=True)
+                if adj is not flood_adj:
+                    # a static topology is one array, flooded once per run
+                    known, _, fpackets, rounds = flood_reachability(adj)
+                    counts = known.sum(axis=1).astype(float)
+                    # servers holding the same payload set must release bitwise
+                    # identical averages, so sum each distinct set once in index
+                    # order instead of letting a blocked matmul pick the order
+                    uniq, inverse = np.unique(known, axis=0, return_inverse=True)
+                    flood_adj = adj
                 sums = np.stack([posterior[row].sum(axis=0) for row in uniq])
                 release_t = sums[inverse] / counts[:, None]
                 latency = sum(

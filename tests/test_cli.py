@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from dpcrowd.cli import expand_runs, main
 from dpcrowd.config import ExperimentConfig
 from dpcrowd.datasets import load_csv
@@ -192,3 +194,17 @@ def test_nonprivate_runs_at_zero_epsilon(tmp_path):
     out = tmp_path / "r.csv"
     assert main(["run", str(cfg), "--out", str(out)]) == 0
     assert out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_run_is_diagnosed(tmp_path, capsys):
+    # a subnormal floor passes validation, but coeff**2 / R_hat overflows
+    cfg = _write_cfg(
+        tmp_path,
+        NONPRIVATE_CFG.replace("users = 3", "users = 300")
+        + "model.q = 0\nkcif.variance_floor = 1e-310\n",
+    )
+    out = tmp_path / "r.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "diverged" in capsys.readouterr().err
+    assert not out.exists()

@@ -42,6 +42,19 @@ def test_padded_history_repeats_earliest():
     assert padded_history([7.0], 3).tolist() == [7.0, 7.0, 7.0]
 
 
+def test_history_column_matches_list():
+    # the engine passes numpy columns releases[i, :tidx, k]
+    releases = np.random.default_rng(3).normal(50.0, 10.0, size=(2, 1000, 3))
+    for tidx in (1, 2, 1000):
+        column = releases[1, :tidx, 2]
+        values = column.tolist()
+        for window in (1, 3, 5):
+            assert padded_history(column, window).tolist() == padded_history(values, window).tolist()
+            assert predict_region(column, window) == predict_region(values, window)
+    short = releases[1, :2, 2]
+    assert padded_history(short, 4).tolist() == [short[0]] * 3 + [short[1]]
+
+
 def test_trend_deviation_identical_histories():
     assert trend_deviation([1, 2, 3], [10, 20, 30], 3) == pytest.approx(0.0)
 

@@ -92,8 +92,10 @@ def test_w_event_accepts_spaced_charges():
 def test_w_event_rejects_tight_window():
     led = PrivacyLedger("w_event", 1.0, w=2)
     led.charge(0, 1, 0.6)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError) as err:
         led.charge(0, 2, 0.6)
+    # the window ending at the charge's own timestamp is the one reported
+    assert err.value.window == (1, 2)
 
 
 def test_w_event_per_dimension_budgets():
@@ -160,6 +162,78 @@ def test_user_ledger_total_bounded(epsilons):
             pass
     assert math.fsum(accepted) <= 1.0
     led.audit()
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(1, 8),
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.floats(0.0, 0.6)),
+        min_size=1,
+        max_size=60,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_windowed_charge_matches_every_window_rule(dims, w, steps):
+    # steps are (dim, time increment, eps): timestamps never decrease and may
+    # repeat. The old rule checked every window ending in [t, t + w - 1].
+    epsilon = 1.0
+    led = PrivacyLedger("w_event", epsilon, dims=dims, w=w)
+    accepted = [[] for _ in range(dims)]
+    t = 1
+    for dim, step, eps in steps:
+        dim %= dims
+        t += step
+        history = accepted[dim]
+        spent = math.fsum(e for ts, e in history if t - w + 1 <= ts <= t - 1)
+        assert led.remaining_window(dim, t) == epsilon - spent
+        fits = all(
+            math.fsum([e for ts, e in history if end - w + 1 <= ts <= end] + [eps]) <= epsilon
+            for end in range(t, t + w)
+        )
+        try:
+            led.charge(dim, t, eps)
+            granted = True
+        except BudgetError:
+            granted = False
+        assert granted == fits
+        if granted:
+            history.append((t, eps))
+    assert led.spends == accepted
+    led.audit()
+
+
+@pytest.mark.parametrize("mode", ["user", "w_event"])
+def test_out_of_order_charge_is_refused(mode):
+    led = PrivacyLedger(mode, 1.0, dims=2, w=3)
+    led.charge(0, 5, 0.1)
+    led.charge(0, 5, 0.1)  # a repeated timestamp is in order
+    led.charge(1, 2, 0.1)
+    before = [list(spends) for spends in led.spends]
+    with pytest.raises(ValueError, match="timestamp order"):
+        led.charge(0, 4, 0.1)
+    assert led.spends == before
+
+
+@given(
+    st.integers(1, 8),
+    st.lists(
+        st.lists(st.tuples(st.integers(1, 30), st.floats(0.0, 0.6)), max_size=25),
+        min_size=1,
+        max_size=2,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_audit_matches_brute_force_on_injected_spends(w, per_dim):
+    # spends written straight into the ledger: unsorted, possibly over budget
+    led = PrivacyLedger("w_event", 1.0, dims=len(per_dim), w=w)
+    led.spends = [list(spends) for spends in per_dim]
+    ok = all(_brute_force_ok(spends, 1.0, w) for spends in per_dim)
+    if ok:
+        led.audit()
+    else:
+        with pytest.raises(BudgetError):
+            led.audit()
 
 
 # ------------------------------------------------------------- allocation

@@ -10,7 +10,8 @@ from dpcrowd.config import (
     NetConfig,
     SamplingConfig,
 )
-from dpcrowd.netsim import TopologySchedule, degrees
+from dpcrowd import RunDivergedError, runners
+from dpcrowd.netsim import TopologySchedule, degrees, flood_reachability
 from dpcrowd.runners import (
     run_dfast,
     run_dpcrowd,
@@ -134,6 +135,23 @@ def test_dfast_floods_more_than_one_hop():
     dfast = run_dfast(_cfg(algorithm="dfast"))
     crowd = run_dpcrowd(_cfg())
     assert dfast.stats.packets > crowd.stats.packets
+
+
+@pytest.mark.parametrize("dynamic", [False, True])
+def test_dfast_floods_once_per_topology(dynamic, monkeypatch):
+    calls = []
+
+    def counting(adj):
+        calls.append(adj)
+        return flood_reachability(adj)
+
+    monkeypatch.setattr(runners, "flood_reachability", counting)
+    net = NetConfig(m=6, rho=0.4, seed=9, dynamic=dynamic)
+    res = run_dfast(_cfg(algorithm="dfast", net=net))
+    assert len(calls) == (40 if dynamic else 1)
+    topo = TopologySchedule(m=6, density=0.4, seed=9, dynamic=dynamic)
+    expected = [flood_reachability(topo.adjacency_at(t))[2] for t in range(1, 41)]
+    assert res.stats.packets_by_t == expected
 
 
 def test_latency_recorded_within_bounds():
@@ -324,3 +342,14 @@ def test_dfast_consensus_error_is_exactly_zero():
     res = run_dfast(_cfg(algorithm="dfast", net=NetConfig(m=6, rho=0.6, seed=2)))
     spread = res.releases.max(axis=0) - res.releases.min(axis=0)
     assert spread.max() == 0.0
+
+
+def test_non_finite_release_is_a_diverged_run():
+    # a subnormal floor passes validation, but coeff**2 / R_hat overflows
+    cfg = _cfg(
+        algorithm="nonprivate", timestamps=20, users=300,
+        net=NetConfig(m=4, rho=0.6, seed=5), model=ModelConfig(q=(0.0,)),
+        kcif=KcifConfig(variance_floor=1e-310),
+    )
+    with np.errstate(all="ignore"), pytest.raises(RunDivergedError, match="non-finite"):
+        run_nonprivate(cfg)
