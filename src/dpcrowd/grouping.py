@@ -78,13 +78,26 @@ def padded_history(history: Sequence[float], window: int) -> np.ndarray:
     return np.asarray(vals)
 
 
-def predict_region(history: Sequence[float], window: int) -> float:
-    """Forecast one dimension as the mean of its last `window` published values."""
+def predict_region(history, window: int):
+    """Forecast a dimension as the mean of its last `window` published values.
+
+    A 1-D history gives one float. A 2-D (T, k) history gives one forecast per
+    column, each bitwise equal to the 1-D forecast of that column.
+    """
     if window < 1:
         raise ValueError("window must be >= 1")
-    if len(history) == 0:
-        return 0.0
-    return float(np.mean(padded_history(history, window)))
+    if np.ndim(history) == 1:
+        if len(history) == 0:
+            return 0.0
+        return float(np.mean(padded_history(history, window)))
+    recent = np.asarray(history, dtype=float)[-window:]
+    if len(recent) == 0:
+        return np.zeros(recent.shape[1])
+    if len(recent) < window:
+        recent = np.concatenate([np.repeat(recent[:1], window - len(recent), axis=0), recent])
+    # numpy sums pairwise only along the contiguous axis, so each column is
+    # laid out contiguously to sum in the same order as a 1-D mean
+    return np.ascontiguousarray(recent.T).mean(axis=1)
 
 
 def _normalized(values: np.ndarray) -> np.ndarray:

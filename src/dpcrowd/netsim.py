@@ -135,11 +135,22 @@ def flood_payload_bytes(d: int) -> int:
     return HEADER_BYTES + 8 * d
 
 
-def _delivery_latency(count: int, rng: np.random.Generator, center: float) -> float:
-    """Max over per-delivery latencies, uniform within +/-20% of the center."""
-    if count == 0:
+def _delivery_latency(counts, rng: np.random.Generator, center: float) -> float:
+    """Sum over rounds of the max per-delivery latency, uniform within +/-20% of the center.
+
+    counts holds one timestamp's deliveries per round; a round with none
+    draws nothing. All draws come from one buffer, and each round's maximum
+    is mapped to a latency the way rng.uniform maps a draw (low + range * u),
+    which is monotone, so the result equals a max over per-round uniform draws.
+    """
+    counts = [int(c) for c in counts if c]
+    if not counts:
         return 0.0
-    return float(rng.uniform(0.8 * center, 1.2 * center, size=count).max())
+    draws = rng.random(sum(counts))
+    starts = np.cumsum([0] + counts[:-1])
+    low = 0.8 * center
+    span = 1.2 * center - low
+    return sum(low + span * float(u) for u in np.maximum.reduceat(draws, starts))
 
 
 def flood_reachability(adj: np.ndarray) -> tuple[np.ndarray, int, int, list[int]]:

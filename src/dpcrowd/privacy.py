@@ -196,22 +196,21 @@ def allocate_uniform(epsilon_total: float, num_samples: int) -> float:
 
 
 def allocate_adaptive(
-    ledger: PrivacyLedger, dim: int, t: int, interval: int, mu: float, p_max: float,
-    eps_max: float,
+    remaining: float, interval: int, mu: float, p_max: float, eps_max: float,
 ) -> float:
     """Budget for one sampling timestamp under w-event accounting.
 
-    A longer current interval means rarer sampling, so a larger portion
-    p = min(mu * ln(interval + 1), p_max) of the remaining window budget is
-    granted, capped at eps_max. Returns 0 when the window is exhausted; the
-    caller must then approximate instead of sampling. The result never
+    remaining is the dimension's unspent window budget at this timestamp
+    (PrivacyLedger.remaining_window). A longer current interval means rarer
+    sampling, so a larger portion p = min(mu * ln(interval + 1), p_max) of it
+    is granted, capped at eps_max. Returns 0 when the window is exhausted;
+    the caller must then approximate instead of sampling. The result never
     exceeds the remaining window budget while p_max <= 1 (ExperimentConfig
     .validate checks mu, p_max and the eps_max fraction), so charging it
     cannot violate the ledger (up to the ledger's own fail-closed check).
     """
     if interval < 1:
         raise ValueError(f"interval must be >= 1, got {interval}")
-    remaining = ledger.remaining_window(dim, t)
     if remaining <= 0:
         return 0.0
     portion = min(mu * math.log(interval + 1.0), p_max)

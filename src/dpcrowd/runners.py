@@ -204,6 +204,7 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
         ]
     eps_max = cfg.epsilon * cfg.eps_max_fraction
     thresholds = _grouping_thresholds(cfg) if grouping else None
+    tau = cfg.grouping.tau
 
     block_len = cfg.w if policy.window_restart else timestamps
     uninformed = np.where(q_diag > 0, kcif.UNINFORMED_VARIANCE_SCALE * q_diag,
@@ -217,6 +218,8 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     stats = CommStats(broadcasts=np.zeros(m, dtype=np.int64))
 
     adj_needed = (policy.communicate or policy.flood) and m > 1
+    # per-adjacency work runs once per adjacency array: once a run on a
+    # static topology, once a timestamp on a dynamic one
     checked_adj = flood_adj = None
     noise_scale = coeff[:, None] * np.sqrt(q_diag)[None, :]
 
@@ -262,6 +265,8 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
         adj = topo.adjacency_at(t) if adj_needed else None
         if policy.communicate and adj is not None and adj is not checked_adj:
             _check_consensus_stability(adj, cfg.kcif.beta)
+            link = adj.astype(float)
+            degree = degrees(adj)
             checked_adj = adj
         if not cfg.model.freeze_partition:
             sizes = partition_users(cfg.users, m, partition_rng)
@@ -272,27 +277,26 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
         # and by nothing else in private modes.
         x_raw = coeff[:, None] * truth[tidx][None, :] + noise_scale * obs_noise[:, tidx, :]
 
-        # eps_used stays inf wherever no noise was added, which drops the
-        # perturbation term from R_hat.
-        eps_used = np.full((m, d), np.inf)
         if not private:
             sampled = np.ones((m, d), dtype=bool)
+            # inf drops the perturbation term from R_hat
+            eps_used = np.full((m, d), np.inf)
             z = x_raw
         else:
-            sampled = np.zeros((m, d), dtype=bool)
+            grants = np.zeros((m, d))
             # An unsampled dimension repeats the server's previous release.
             z = releases[:, tidx - 1, :].copy() if tidx else np.zeros((m, d))
             eps_left_after = np.zeros((m, d))
             for i in range(m):
                 due = [k for k in range(d) if schedules[i][k].is_sampling_point(t)]
+                if not due:
+                    continue
                 granted: list[int] = []
-                grants = np.zeros(d)
                 for k in due:
                     if policy.adaptive:
                         before = ledgers[i].remaining_window(k, t)
                         grant = allocate_adaptive(
-                            ledgers[i], k, t, schedules[i][k].interval, cfg.mu, cfg.p_max,
-                            eps_max,
+                            before, schedules[i][k].interval, cfg.mu, cfg.p_max, eps_max,
                         )
                     else:
                         grant = eps_uniform
@@ -306,31 +310,30 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                         schedules[i][k].note_skipped(t)
                         continue
                     granted.append(k)
-                    grants[k] = grant
+                    grants[i, k] = grant
                     eps_left_after[i, k] = max(0.0, min(before, cfg.epsilon) - grant)
                 if not granted:
                     continue
-                sampled[i, granted] = True
-                eps_used[i, granted] = grants[granted]
                 if grouping:
-                    history = releases[i, :tidx, :]
-                    predictions = [
-                        predict_region(history[:, k], thresholds.history_window)
-                        for k in range(d)
-                    ]
-                    partition = group_regions(
-                        granted, predictions, [history[:, k] for k in range(d)], thresholds,
-                    )
+                    # forecasts and trends read only the last tau releases
+                    recent = releases[i, max(0, tidx - tau):tidx, :]
+                    predictions = np.full(d, np.nan)  # only granted entries are read
+                    predictions[granted] = predict_region(recent[:, granted], tau)
+                    partition = group_regions(granted, predictions, recent.T, thresholds)
                     shares = perturb_groups(
-                        partition, x_raw[i], grants, sensitivity, server_rngs[i]
+                        partition, x_raw[i], grants[i], sensitivity, server_rngs[i]
                     )
                     for k, value in sorted(shares.items()):
                         z[i, k] = value
                 else:
                     for k in granted:
                         z[i, k] = perturb_count(
-                            x_raw[i, k], sensitivity, grants[k], server_rngs[i]
+                            x_raw[i, k], sensitivity, grants[i, k], server_rngs[i]
                         )
+            # every grant is positive; eps_used stays inf wherever no noise
+            # was added, which drops the perturbation term from R_hat
+            sampled = grants > 0.0
+            eps_used = np.where(sampled, grants, np.inf)
 
         rhat = kcif.effective_variance(
             coeff[:, None], eps_used, sensitivity, q_diag[None, :], cfg.kcif.alpha
@@ -362,14 +365,13 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
 
         active = sampled.any(axis=1)
         if policy.communicate and m > 1:
-            link = adj.astype(float)
             fused_value = u + stale_u + link @ u
             fused_weight = weight + stale_w + link @ weight
             nbr_count = link @ active.astype(float)
             prior_sum = link @ (prior * active[:, None])
             prior_delta = prior_sum - nbr_count[:, None] * prior
-            packets = int(degrees(adj)[active].sum())
-            latency = _delivery_latency(packets, latency_rng, cfg.net.latency_ms_center)
+            packets = int(degree[active].sum())
+            latency = _delivery_latency([packets], latency_rng, cfg.net.latency_ms_center)
             stats.record_round(packets, packets * message_num_bytes(d), latency)
             broadcast_trace[:, tidx] = active
         else:
@@ -387,7 +389,6 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
         if policy.flood:
             if m > 1:
                 if adj is not flood_adj:
-                    # a static topology is one array, flooded once per run
                     known, _, fpackets, rounds = flood_reachability(adj)
                     counts = known.sum(axis=1).astype(float)
                     # servers holding the same payload set must release bitwise
@@ -397,10 +398,7 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                     flood_adj = adj
                 sums = np.stack([posterior[row].sum(axis=0) for row in uniq])
                 release_t = sums[inverse] / counts[:, None]
-                latency = sum(
-                    _delivery_latency(forwards, latency_rng, cfg.net.latency_ms_center)
-                    for forwards in rounds
-                )
+                latency = _delivery_latency(rounds, latency_rng, cfg.net.latency_ms_center)
                 stats.record_round(fpackets, fpackets * flood_payload_bytes(d), latency)
             else:
                 stats.record_round(0, 0, 0.0)

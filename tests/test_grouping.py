@@ -55,6 +55,24 @@ def test_history_column_matches_list():
     assert padded_history(short, 4).tolist() == [short[0]] * 3 + [short[1]]
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    window=st.integers(1, 24),
+    rows=st.integers(0, 48),
+    cols=st.integers(1, 4),
+    exponent=st.floats(-3.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_predict_region_columns_match_one_dimensional(window, rows, cols, exponent, seed):
+    # the engine forecasts all granted dimensions in one call; each column must
+    # be bitwise the forecast the 1-D form gives, at every window length
+    history = np.random.default_rng(seed).uniform(0.0, 10.0**exponent, size=(rows, cols))
+    got = predict_region(history, window)
+    want = np.array([predict_region(history[:, k], window) for k in range(cols)])
+    assert got.shape == (cols,)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_trend_deviation_identical_histories():
     assert trend_deviation([1, 2, 3], [10, 20, 30], 3) == pytest.approx(0.0)
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from dpcrowd.kcif import (
     prediction_gain,
     update_from_delta,
 )
-from dpcrowd.netsim import TopologySchedule
+from dpcrowd.netsim import TopologySchedule, flood_reachability
 
 
 # -------------------------------------------------------- effective variance
@@ -169,21 +171,28 @@ def test_initialize_empty_server_uninformative():
 SIZES = np.array([0, 30, 50, 20, 40, 60])  # server 0 has no users
 
 
-def _run_fixed_partition(monkeypatch, algorithm):
+def _run_fixed_partition(monkeypatch, algorithm, rho=0.5, dynamic=False):
     monkeypatch.setattr(runners, "partition_users", lambda n, m, rng: SIZES.copy())
     cfg = ExperimentConfig(
         algorithm=algorithm, seed=7, timestamps=40, users=int(SIZES.sum()),
-        model=ModelConfig(q=(100.0,)), net=NetConfig(m=len(SIZES), rho=0.5, seed=11),
+        model=ModelConfig(q=(100.0,)),
+        net=NetConfig(m=len(SIZES), rho=rho, seed=11, dynamic=dynamic),
     )
     return cfg, runners.run_experiment(cfg)
 
 
-def _reference_releases(cfg, result, adj):
-    """Replay a one-dimensional run server by server, fusing over adj[i] one
-    neighbour at a time.
+def _isolated(t):
+    return np.zeros((len(SIZES),) * 2, bool)
 
-    Per-release budgets come from the ledgers (inf without one), observations
-    and sampling masks from the run itself.
+
+def _reference_releases(cfg, result, neighbours, flood=None):
+    """Replay a one-dimensional run server by server, fusing over row i of
+    neighbours(t) one neighbour at a time.
+
+    With flood(t) each server releases the plain average of the posteriors it
+    holds after flooding that adjacency, while its filter carries on from its
+    own posterior. Per-release budgets come from the ledgers (inf without
+    one), observations and sampling masks from the run itself.
     """
     m, timestamps, d = result.releases.shape
     coeff = SIZES / cfg.users
@@ -200,6 +209,7 @@ def _reference_releases(cfg, result, adj):
     releases = np.empty_like(result.releases)
     variances = np.empty_like(result.posterior_var)
     for tidx in range(timestamps):
+        adj = neighbours(tidx + 1)
         z = result.observations[:, tidx]
         sampled = result.sampled[:, tidx]
         rhat = np.maximum(
@@ -228,16 +238,25 @@ def _reference_releases(cfg, result, adj):
                 prior[i], prior_var[i], value, weight, delta, cfg.kcif.beta
             )
         releases[:, tidx] = post
+        if flood is not None:
+            known = flood_reachability(flood(tidx + 1))[0]
+            for i in range(m):
+                releases[i, tidx] = post[known[i]].mean(axis=0)
         variances[:, tidx] = post_var
     return releases, variances
 
 
 def test_fuse_matches_brute_force(monkeypatch):
-    for algorithm in ("nonprivate", "dpcrowd"):
-        cfg, result = _run_fixed_partition(monkeypatch, algorithm)
-        adj = TopologySchedule(m=cfg.net.m, density=cfg.net.rho, seed=cfg.net.seed).adjacency_at(1)
+    # a dynamic topology hands the engine a new adjacency every timestamp
+    for algorithm, dynamic in itertools.product(("nonprivate", "dpcrowd"), (False, True)):
+        cfg, result = _run_fixed_partition(monkeypatch, algorithm, dynamic=dynamic)
+        topo = TopologySchedule(m=cfg.net.m, density=cfg.net.rho, seed=cfg.net.seed,
+                                dynamic=dynamic)
+        adj = topo.adjacency_at(1)
         assert adj.any() and not adj.all()
-        releases, variances = _reference_releases(cfg, result, adj)
+        if dynamic:
+            assert not np.array_equal(adj, topo.adjacency_at(2))
+        releases, variances = _reference_releases(cfg, result, topo.adjacency_at)
         np.testing.assert_allclose(result.releases, releases, rtol=1e-12)
         np.testing.assert_allclose(result.posterior_var, variances, rtol=1e-12)
 
@@ -245,7 +264,23 @@ def test_fuse_matches_brute_force(monkeypatch):
 def test_fuse_isolated_is_self(monkeypatch):
     # fast never communicates: each server fuses its own information only
     cfg, result = _run_fixed_partition(monkeypatch, "fast")
-    releases, variances = _reference_releases(cfg, result, np.zeros((cfg.net.m,) * 2, bool))
+    releases, variances = _reference_releases(cfg, result, _isolated)
+    np.testing.assert_allclose(result.releases, releases, rtol=1e-12)
+    np.testing.assert_allclose(result.posterior_var, variances, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dynamic", [False, True])
+def test_flood_average_matches_per_server_replay(monkeypatch, dynamic):
+    # dfast filters locally, then each server averages the posteriors its
+    # flood reaches; a dynamic topology floods a new adjacency every timestamp.
+    # The sparse graphs split the servers into several averaging groups.
+    cfg, result = _run_fixed_partition(monkeypatch, "dfast", rho=0.1, dynamic=dynamic)
+    topo = TopologySchedule(m=cfg.net.m, density=cfg.net.rho, seed=cfg.net.seed, dynamic=dynamic)
+    reach = [flood_reachability(topo.adjacency_at(t))[0] for t in range(1, 41)]
+    assert not reach[0].all()
+    if dynamic:
+        assert len({known.tobytes() for known in reach}) > 1
+    releases, variances = _reference_releases(cfg, result, _isolated, flood=topo.adjacency_at)
     np.testing.assert_allclose(result.releases, releases, rtol=1e-12)
     np.testing.assert_allclose(result.posterior_var, variances, rtol=1e-12)
 

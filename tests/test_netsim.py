@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpcrowd.config import ExperimentConfig, ModelConfig, NetConfig
 from dpcrowd.netsim import (
@@ -87,7 +89,7 @@ def test_silent_round_zero_packets():
     # a round with no broadcast costs no latency draw, so later draws keep their order
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state
-    assert _delivery_latency(0, rng, 100.0) == 0.0
+    assert _delivery_latency([0], rng, 100.0) == 0.0
     assert rng.bit_generator.state == state
     res, adj = _run("dpcrowd")
     expected = [int(degrees(adj)[res.broadcast[:, t]].sum()) for t in range(30)]
@@ -104,9 +106,27 @@ def test_degree_sum_accounting():
 def test_latency_bounds():
     rng = np.random.default_rng(4)
     for count in (1, 10, 1000):
-        assert 80.0 <= _delivery_latency(count, rng, 100.0) <= 120.0
+        assert 80.0 <= _delivery_latency([count], rng, 100.0) <= 120.0
     res, _ = _run("nonprivate")
     assert 80.0 <= res.stats.max_latency_ms <= 120.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.lists(st.integers(0, 400), max_size=8),
+    center=st.floats(1e-3, 1e4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_latency_matches_per_round_draws(counts, center, seed):
+    # one buffer of draws per timestamp gives the same latency, from the same
+    # stream positions, as one uniform draw per round
+    per_round = np.random.default_rng(seed)
+    batched = np.random.default_rng(seed)
+    want = sum(
+        float(per_round.uniform(0.8 * center, 1.2 * center, size=n).max()) for n in counts if n
+    )
+    assert _delivery_latency(counts, batched, center) == want
+    assert batched.random() == per_round.random()
 
 
 def test_message_byte_size():

@@ -246,26 +246,26 @@ def test_allocate_uniform_values():
 
 def test_allocate_adaptive_log_rule():
     led = PrivacyLedger("w_event", 1.0, w=10)
-    got = allocate_adaptive(led, 0, 1, 1, mu=0.5, p_max=0.6, eps_max=0.5)
+    got = allocate_adaptive(led.remaining_window(0, 1), 1, mu=0.5, p_max=0.6, eps_max=0.5)
     assert got == pytest.approx(0.5 * math.log(2.0))  # ~0.3466
 
 
 def test_allocate_adaptive_exhausted_window():
     led = PrivacyLedger("w_event", 1.0, w=3)
     led.charge(0, 1, 1.0)
-    assert allocate_adaptive(led, 0, 2, 1, mu=0.5, p_max=0.6, eps_max=0.5) == 0.0
+    assert allocate_adaptive(led.remaining_window(0, 2), 1, mu=0.5, p_max=0.6, eps_max=0.5) == 0.0
 
 
 def test_allocate_adaptive_caps_bind():
     led = PrivacyLedger("w_event", 1.0, w=10)
-    assert allocate_adaptive(led, 0, 1, 10**6, mu=0.5, p_max=0.6, eps_max=0.5) == 0.5
+    assert allocate_adaptive(led.remaining_window(0, 1), 10**6, mu=0.5, p_max=0.6, eps_max=0.5) == 0.5
 
 
 def test_allocate_adaptive_never_violates_ledger():
     # grant-then-charge in a loop can never raise
     led = PrivacyLedger("w_event", 1.0, w=4)
     for t in range(1, 60):
-        eps_t = allocate_adaptive(led, 0, t, 1 + t % 3, mu=0.5, p_max=0.6, eps_max=0.5)
+        eps_t = allocate_adaptive(led.remaining_window(0, t), 1 + t % 3, mu=0.5, p_max=0.6, eps_max=0.5)
         if eps_t > 0:
             led.charge(0, t, eps_t)
     led.audit()

@@ -1,7 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpcrowd.config import (
+    ALGORITHMS,
+    ConfigError,
     DataConfig,
     ExperimentConfig,
     GroupingConfig,
@@ -12,6 +18,7 @@ from dpcrowd.config import (
 )
 from dpcrowd import RunDivergedError, runners
 from dpcrowd.netsim import TopologySchedule, degrees, flood_reachability
+from dpcrowd.privacy import BudgetError
 from dpcrowd.runners import (
     run_dfast,
     run_dpcrowd,
@@ -300,8 +307,6 @@ def test_dynamic_topology_smoke():
 
 def test_unstable_consensus_step_refused_only_where_consensus_runs():
     # any graph with an edge has lambda_max(Laplacian) >= 2, so beta = 1 fails
-    from dpcrowd.config import ConfigError
-
     unstable = KcifConfig(beta=1.0)
     for dynamic in (False, True):
         net = NetConfig(m=6, rho=0.6, dynamic=dynamic, seed=2)
@@ -322,8 +327,6 @@ def test_csv_truth_dimension_mismatch(tmp_path):
     p = tmp_path / "d2.csv"
     p.write_text("1,2\n3,4\n")
     cfg = _cfg(data=DataConfig(source="csv", path=str(p)), timestamps=2)
-    from dpcrowd.config import ConfigError
-
     with pytest.raises(ConfigError, match="dimensions"):
         run_dpcrowd(cfg)
 
@@ -332,8 +335,6 @@ def test_csv_truth_too_short(tmp_path):
     p = tmp_path / "short.csv"
     p.write_text("1\n2\n3\n")
     cfg = _cfg(data=DataConfig(source="csv", path=str(p)), timestamps=10)
-    from dpcrowd.config import ConfigError
-
     with pytest.raises(ConfigError, match="rows"):
         run_dpcrowd(cfg)
 
@@ -353,3 +354,41 @@ def test_non_finite_release_is_a_diverged_run():
     )
     with np.errstate(all="ignore"), pytest.raises(RunDivergedError, match="non-finite"):
         run_nonprivate(cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    algorithm=st.sampled_from(ALGORITHMS),
+    d=st.integers(1, 3),
+    m=st.integers(1, 5),
+    timestamps=st.integers(1, 30),
+    w=st.integers(1, 8),
+    tau=st.integers(1, 12),
+    dynamic=st.booleans(),
+    rho=st.sampled_from([0.0, 0.3, 1.0]),
+    users=st.integers(1, 50),
+    epsilon=st.sampled_from([0.01, 0.1, 1.0, 10.0]),
+    fixed_interval=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**16),
+)
+def test_small_configs_finish_verified_or_refuse(
+    algorithm, d, m, timestamps, w, tau, dynamic, rho, users, epsilon, fixed_interval, seed,
+):
+    # a small config either runs to a verified result or is refused with a
+    # diagnosis; nothing else escapes, and nothing warns along the way
+    sampling = SamplingConfig() if fixed_interval is None else SamplingConfig(
+        mode="fixed", interval=fixed_interval
+    )
+    cfg = ExperimentConfig(
+        algorithm=algorithm, seed=seed, timestamps=timestamps, users=users, epsilon=epsilon,
+        w=w, model=ModelConfig(d=1 if algorithm == "dpcrowd" else d),
+        net=NetConfig(m=m, rho=rho, dynamic=dynamic, seed=seed), sampling=sampling,
+        grouping=GroupingConfig(tau=tau),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            result = run_experiment(cfg)
+        except (ConfigError, BudgetError):
+            return
+    result.verify()
