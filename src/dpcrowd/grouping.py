@@ -61,10 +61,6 @@ class GroupPartition:
                     raise ValueError(f"dimension {k} appears in more than one group")
                 seen.add(k)
 
-    @property
-    def members(self) -> set[int]:
-        return {k for group in self.groups for k in group}
-
 
 def padded_history(history: Sequence[float], window: int) -> np.ndarray:
     """Last `window` values, front-padded by repeating the earliest one."""

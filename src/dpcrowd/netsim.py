@@ -14,9 +14,7 @@ import numpy as np
 
 __all__ = [
     "generate_topology",
-    "graph_density",
     "degrees",
-    "is_connected",
     "TopologySchedule",
     "CommStats",
     "message_num_bytes",
@@ -52,27 +50,8 @@ def generate_topology(m: int, density: float, rng: np.random.Generator) -> np.nd
     return adj
 
 
-def graph_density(adj: np.ndarray) -> float:
-    """2 * edges / (m * (m - 1))."""
-    m = adj.shape[0]
-    if m < 2:
-        return 0.0
-    return float(adj.sum()) / (m * (m - 1))
-
-
 def degrees(adj: np.ndarray) -> np.ndarray:
     return adj.sum(axis=1).astype(np.int64)
-
-
-def is_connected(adj: np.ndarray) -> bool:
-    m = adj.shape[0]
-    reached = np.zeros(m, dtype=bool)
-    reached[0] = True
-    frontier = reached.copy()
-    while frontier.any():
-        frontier = (adj[frontier].any(axis=0)) & ~reached
-        reached |= frontier
-    return bool(reached.all())
 
 
 @dataclass

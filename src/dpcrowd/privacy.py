@@ -112,10 +112,6 @@ class PrivacyLedger:
                 found.append(e)
         return found
 
-    def window_spent(self, dim: int, lo: int, hi: int) -> float:
-        """Exact (fsum) spend over timestamps lo..hi inclusive for one dimension."""
-        return math.fsum(self._window_spends(dim, lo, hi))
-
     def total_spent(self, dim: int) -> float:
         return math.fsum(e for (_, e) in self.spends[dim])
 
@@ -126,7 +122,7 @@ class PrivacyLedger:
         """
         if self.mode == "user":
             return self.epsilon_total - self.total_spent(dim)
-        return self.epsilon_total - self.window_spent(dim, t - self.w + 1, t - 1)
+        return self.epsilon_total - math.fsum(self._window_spends(dim, t - self.w + 1, t - 1))
 
     def charge(self, dim: int, t: int, eps_t: float) -> None:
         """Record a spend of eps_t at timestamp t, or raise BudgetError.

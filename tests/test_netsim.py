@@ -10,9 +10,7 @@ from dpcrowd.netsim import (
     flood_payload_bytes,
     flood_reachability,
     generate_topology,
-    graph_density,
     degrees,
-    is_connected,
     message_num_bytes,
 )
 from dpcrowd.runners import run_experiment
@@ -23,6 +21,24 @@ def _run(algorithm):
                            model=ModelConfig(q=(1e3,)), net=NetConfig(m=10, rho=0.4, seed=9))
     adj = TopologySchedule(m=10, density=0.4, seed=9).adjacency_at(1)
     return run_experiment(cfg), adj
+
+
+def graph_density(adj):
+    """2 * edges / (m * (m - 1))."""
+    m = adj.shape[0]
+    if m < 2:
+        return 0.0
+    return float(adj.sum()) / (m * (m - 1))
+
+
+def is_connected(adj):
+    reached = np.zeros(adj.shape[0], dtype=bool)
+    reached[0] = True
+    frontier = reached.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    return bool(reached.all())
 
 
 # ---------------------------------------------------------------- topology
