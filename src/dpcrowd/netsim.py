@@ -121,14 +121,18 @@ def _delivery_latency(counts, rng: np.random.Generator, center: float) -> float:
     draws nothing. All draws come from one buffer, and each round's maximum
     is mapped to a latency the way rng.uniform maps a draw (low + range * u),
     which is monotone, so the result equals a max over per-round uniform draws.
+    A single round (every one-hop timestamp) skips the round split and gives
+    the same float from the same stream positions.
     """
     counts = [int(c) for c in counts if c]
     if not counts:
         return 0.0
-    draws = rng.random(sum(counts))
-    starts = np.cumsum([0] + counts[:-1])
     low = 0.8 * center
     span = 1.2 * center - low
+    if len(counts) == 1:
+        return low + span * float(rng.random(counts[0]).max())
+    draws = rng.random(sum(counts))
+    starts = np.cumsum([0] + counts[:-1])
     return sum(low + span * float(u) for u in np.maximum.reduceat(draws, starts))
 
 

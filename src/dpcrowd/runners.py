@@ -257,6 +257,9 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                     ]
                     for _ in range(m)
                 ]
+                # next-sample calendar: timestamp -> the (server, dimension)
+                # pairs whose schedule comes up then; only these are asked
+                calendar = {t: [(i, k) for i in range(m) for k in range(d)]}
             posterior = np.zeros((m, d))
             posterior_var = np.tile(uninformed, (m, 1))
             initialized = np.zeros((m, d), dtype=bool)
@@ -287,27 +290,31 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
             # An unsampled dimension repeats the server's previous release.
             z = releases[:, tidx - 1, :].copy() if tidx else np.zeros((m, d))
             eps_left_after = np.zeros((m, d))
-            for i in range(m):
-                due = [k for k in range(d) if schedules[i][k].is_sampling_point(t)]
-                if not due:
-                    continue
+            # sorted, so each server's due dimensions come in ascending order
+            due_by_server: dict[int, list[int]] = {}
+            for i, k in sorted(calendar.pop(t, ())):
+                if schedules[i][k].is_sampling_point(t):  # False once a cap is used up
+                    due_by_server.setdefault(i, []).append(k)
+            for i, due in due_by_server.items():
                 granted: list[int] = []
                 for k in due:
+                    schedule = schedules[i][k]
                     if policy.adaptive:
                         before = ledgers[i].remaining_window(k, t)
                         grant = allocate_adaptive(
-                            before, schedules[i][k].interval, cfg.mu, cfg.p_max, eps_max,
+                            before, schedule.interval, cfg.mu, cfg.p_max, eps_max,
                         )
                     else:
                         grant = eps_uniform
                         before = math.inf
+                    if grant > 0.0:
+                        try:
+                            ledgers[i].charge(k, t, grant)
+                        except BudgetError:
+                            grant = 0.0
                     if grant <= 0.0:
-                        schedules[i][k].note_skipped(t)
-                        continue
-                    try:
-                        ledgers[i].charge(k, t, grant)
-                    except BudgetError:
-                        schedules[i][k].note_skipped(t)
+                        schedule.note_skipped(t)
+                        calendar.setdefault(schedule.next_sample_t, []).append((i, k))
                         continue
                     granted.append(k)
                     grants[i, k] = grant
@@ -318,7 +325,9 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                     # forecasts and trends read only the last tau releases
                     recent = releases[i, max(0, tidx - tau):tidx, :]
                     predictions = np.full(d, np.nan)  # only granted entries are read
-                    predictions[granted] = predict_region(recent[:, granted], tau)
+                    if len(granted) > 1:
+                        # a lone dimension is a singleton group whatever its forecast
+                        predictions[granted] = predict_region(recent[:, granted], tau)
                     partition = group_regions(granted, predictions, recent.T, thresholds)
                     shares = perturb_groups(
                         partition, x_raw[i], grants[i], sensitivity, server_rngs[i]
@@ -415,21 +424,24 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
         sampled_trace[:, tidx, :] = sampled
 
         if private:
-            for i, k in zip(*np.nonzero(sampled)):
+            prior_rows, posterior_rows = prior.tolist(), posterior.tolist()
+            for i, k in zip(*(index.tolist() for index in np.nonzero(sampled))):
+                schedule = schedules[i][k]
                 if cfg.sampling.mode == "fixed":
-                    schedules[i][k].note_sampled(t)
-                    continue
-                err = feedback_error(float(prior[i, k]), float(posterior[i, k]), cfg.pid.delta)
-                control = pids[i][k].update(err, t)
-                if policy.adaptive:
-                    interval = next_interval_plus(
-                        schedules[i][k].interval, control, eps_left_after[i, k], cfg.pid.theta
-                    )
+                    schedule.note_sampled(t)
                 else:
-                    interval = next_interval(
-                        schedules[i][k].interval, control, cfg.pid.theta, cfg.pid.xi
-                    )
-                schedules[i][k].note_sampled(t, interval)
+                    err = feedback_error(prior_rows[i][k], posterior_rows[i][k], cfg.pid.delta)
+                    control = pids[i][k].update(err, t)
+                    if policy.adaptive:
+                        interval = next_interval_plus(
+                            schedule.interval, control, eps_left_after[i, k], cfg.pid.theta
+                        )
+                    else:
+                        interval = next_interval(
+                            schedule.interval, control, cfg.pid.theta, cfg.pid.xi
+                        )
+                    schedule.note_sampled(t, interval)
+                calendar.setdefault(schedule.next_sample_t, []).append((i, k))
 
     result = RunResult(
         config=cfg,

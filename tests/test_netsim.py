@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpcrowd.config import ExperimentConfig, ModelConfig, NetConfig
@@ -133,6 +133,9 @@ def test_latency_bounds():
     center=st.floats(1e-3, 1e4),
     seed=st.integers(0, 2**32 - 1),
 )
+# one round with deliveries, which the one-hop path always is
+@example(counts=[37], center=100.0, seed=5)
+@example(counts=[0, 37, 0], center=100.0, seed=5)
 def test_batched_latency_matches_per_round_draws(counts, center, seed):
     # one buffer of draws per timestamp gives the same latency, from the same
     # stream positions, as one uniform draw per round

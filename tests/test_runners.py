@@ -20,6 +20,7 @@ from dpcrowd import RunDivergedError, runners
 from dpcrowd.netsim import TopologySchedule, degrees, flood_reachability
 from dpcrowd.privacy import BudgetError
 from dpcrowd.runners import (
+    SamplingSchedule,
     run_dfast,
     run_dpcrowd,
     run_dpcrowd_plus,
@@ -119,6 +120,46 @@ def test_adaptive_sampling_respects_cap():
     per_server = res.sampled[:, :, 0].sum(axis=1)
     assert (per_server <= 15).all()  # floor(0.3 * 50)
     assert (res.stats.broadcasts <= 15).all()
+
+
+@pytest.mark.parametrize("algorithm, overrides, exercised", [
+    # block restarts every w timestamps; capped uniform schedules run out
+    ("dpcrowd_w", dict(w=10, timestamps=60), "cap"),
+    # windows across block starts refuse charges (BudgetError)
+    ("dpcrowd_w", dict(w=20, timestamps=45, sampling=SamplingConfig(mode="fixed", interval=1)),
+     "refusal"),
+    # grants of epsilon / 2 every other timestamp drain each window, which
+    # then grants 0
+    ("dpcrowd_plus", dict(w=8, epsilon=0.1, timestamps=60, mu=20.0, p_max=1.0,
+                          eps_max_fraction=0.5, model=ModelConfig(d=3, q=(1e3,)),
+                          sampling=SamplingConfig(mode="fixed", interval=2)), "refusal"),
+])
+def test_schedules_are_asked_only_when_due(algorithm, overrides, exercised, monkeypatch):
+    asked = []  # (schedule, asked at its next sampling timestamp, answer)
+    refusals = []
+    is_sampling_point = SamplingSchedule.is_sampling_point
+    note_skipped = SamplingSchedule.note_skipped
+
+    def asking(self, t):
+        answer = is_sampling_point(self, t)
+        asked.append((self, t == self.next_sample_t, answer))
+        return answer
+
+    def refusing(self, t):
+        refusals.append(self)
+        note_skipped(self, t)
+
+    monkeypatch.setattr(SamplingSchedule, "is_sampling_point", asking)
+    monkeypatch.setattr(SamplingSchedule, "note_skipped", refusing)
+    res = run_experiment(_cfg(algorithm=algorithm, **overrides))
+    samples = int(res.sampled.sum())
+    assert all(at_next for _, at_next, _ in asked)
+    assert sum(answer for _, _, answer in asked) == samples + len(refusals)
+    # a schedule whose cap is used up is asked at most once more
+    used_up = {id(s) for s, _, _ in asked
+               if s.max_samples is not None and s.samples_used >= s.max_samples}
+    assert len(asked) <= samples + len(refusals) + len(used_up)
+    assert {"cap": used_up, "refusal": refusals}[exercised]
 
 
 # ------------------------------------------------------------ communication
