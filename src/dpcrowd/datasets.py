@@ -8,10 +8,11 @@ default-off engine option.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
-from .model import ProcessModel, StreamPrefix, TrueState, step_process
+from .model import ProcessModel, StreamPrefix
 
 __all__ = [
     "CsvFormatError",
@@ -45,15 +46,13 @@ def generate_stream(
     """Roll the process model forward; row 0 is the initial value itself."""
     if timestamps < 1:
         raise ValueError("need at least one timestamp")
-    initial = np.broadcast_to(np.asarray(initial, dtype=float), (model.d,)).copy()
     values = np.empty((timestamps, model.d))
-    state = TrueState(t=1, value=initial)
-    values[0] = state.value
+    values[0] = np.broadcast_to(np.asarray(initial, dtype=float), (model.d,))
+    sd = np.sqrt(model.noise_var)
     for row in range(1, timestamps):
-        state = step_process(model, state, rng)
+        values[row] = model.transition @ values[row - 1] + rng.normal(0.0, sd)
         if clamp:
-            state = TrueState(t=state.t, value=np.maximum(state.value, 0.0))
-        values[row] = state.value
+            np.maximum(values[row], 0.0, out=values[row])
     return StreamPrefix(values=values)
 
 
@@ -93,7 +92,7 @@ def _parse_cell(cell: str, row: int, col: int) -> float:
         value = float(cell)
     except ValueError:
         raise CsvFormatError(f"row {row}, column {col}: {cell!r} is not a number") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise CsvFormatError(f"row {row}, column {col}: value must be finite, got {cell!r}")
     if value < 0:
         raise CsvFormatError(f"row {row}, column {col}: counts must be non-negative, got {cell!r}")

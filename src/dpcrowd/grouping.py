@@ -19,8 +19,6 @@ __all__ = [
     "GroupingThresholds",
     "GroupPartition",
     "predict_region",
-    "padded_history",
-    "trend_deviation",
     "group_regions",
     "perturb_groups",
 ]
@@ -62,95 +60,65 @@ class GroupPartition:
                 seen.add(k)
 
 
-def padded_history(history: Sequence[float], window: int) -> np.ndarray:
-    """Last `window` values, front-padded by repeating the earliest one."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    vals = [float(v) for v in history[-window:]]
-    if not vals:
-        return np.zeros(window)
-    if len(vals) < window:
-        vals = [vals[0]] * (window - len(vals)) + vals
-    return np.asarray(vals)
-
-
-def predict_region(history, window: int):
-    """Forecast a dimension as the mean of its last `window` published values.
-
-    A 1-D history gives one float. A 2-D (T, k) history gives one forecast per
-    column, each bitwise equal to the 1-D forecast of that column.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if np.ndim(history) == 1:
-        if len(history) == 0:
-            return 0.0
-        return float(np.mean(padded_history(history, window)))
-    recent = np.asarray(history, dtype=float)[-window:]
+def _front_padded(history: np.ndarray, window: int) -> np.ndarray:
+    """Last `window` rows, front-padded by repeating the earliest row (zeros
+    when there are no rows)."""
+    recent = history[-window:]
     if len(recent) == 0:
-        return np.zeros(recent.shape[1])
+        return np.zeros((window, history.shape[1]))
     if len(recent) < window:
         recent = np.concatenate([np.repeat(recent[:1], window - len(recent), axis=0), recent])
+    return recent
+
+
+def predict_region(history, window: int) -> np.ndarray:
+    """Forecast each column of a (T, k) history as the mean of its last
+    `window` values; a short history is front-padded with its first row."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    recent = _front_padded(np.asarray(history, dtype=float), window)
     # numpy sums pairwise only along the contiguous axis, so each column is
     # laid out contiguously to sum in the same order as a 1-D mean
     return np.ascontiguousarray(recent.T).mean(axis=1)
 
 
-def _normalized(values: np.ndarray) -> np.ndarray:
-    lo = float(values.min())
-    hi = float(values.max())
-    if hi - lo <= 0:
-        return np.zeros_like(values)
-    return (values - lo) / (hi - lo)
-
-
-def trend_deviation(history_a: Sequence[float], history_b: Sequence[float], window: int) -> float:
-    """Mean absolute gap between two min-max-normalized recent histories."""
-    a = _normalized(padded_history(history_a, window))
-    b = _normalized(padded_history(history_b, window))
-    return float(np.mean(np.abs(a - b)))
-
-
 def group_regions(
     sampled: Sequence[int],
     predictions,
-    histories: Sequence[Sequence[float]],
+    history,
     thresholds: GroupingThresholds,
 ) -> GroupPartition:
     """Partition the sampled dimensions into similarity groups.
 
-    Large-valued dimensions go solo. The rest are seeded in ascending order
-    of prediction (ties by index); a dimension joins the seed's group when
-    both its predicted value and its normalized trend sit within the gaps.
-    Deterministic in its inputs.
+    `predictions` and the columns of the (T, k) `history` are aligned with
+    `sampled`. Large-valued dimensions go solo. The rest are seeded in
+    ascending order of prediction (ties by index); a dimension joins the
+    seed's group when its predicted value and its min-max-normalized recent
+    history both sit within the gaps. Deterministic in its inputs.
     """
-    sampled = sorted(set(int(k) for k in sampled))
+    dims = [int(k) for k in sampled]
     predictions = np.asarray(predictions, dtype=float)
+    padded = _front_padded(np.asarray(history, dtype=float), thresholds.history_window)
+    lo = padded.min(axis=0)
+    span = padded.max(axis=0) - lo
+    # one C-contiguous row per column, so each row mean sums in the order of
+    # a 1-D mean; a constant column normalizes to zeros
+    trends = np.ascontiguousarray(((padded - lo) / np.where(span > 0, span, 1.0)).T)
     groups: list[tuple[int, ...]] = []
     small: list[int] = []
-    for k in sampled:
-        if predictions[k] >= thresholds.large_value:
+    for j, k in enumerate(dims):
+        if predictions[j] >= thresholds.large_value:
             groups.append((k,))
         else:
-            small.append(k)
-    small.sort(key=lambda k: (predictions[k], k))
-    remaining = list(small)
+            small.append(j)
+    remaining = sorted(small, key=lambda j: (predictions[j], dims[j]))
     while remaining:
-        seed = remaining.pop(0)
-        group = [seed]
-        keep: list[int] = []
-        for k in remaining:
-            close_value = abs(predictions[k] - predictions[seed]) <= thresholds.value_gap
-            close_trend = (
-                trend_deviation(histories[k], histories[seed], thresholds.history_window)
-                <= thresholds.trend_gap
-            )
-            if close_value and close_trend:
-                group.append(k)
-            else:
-                keep.append(k)
-        remaining = keep
-        groups.append(tuple(sorted(group)))
+        seed, rest = remaining[0], remaining[1:]
+        close = np.abs(predictions[rest] - predictions[seed]) <= thresholds.value_gap
+        close &= np.abs(trends[rest] - trends[seed]).mean(axis=1) <= thresholds.trend_gap
+        close = close.tolist()
+        groups.append(tuple(sorted([dims[seed]] + [dims[j] for j, c in zip(rest, close) if c])))
+        remaining = [j for j, c in zip(rest, close) if not c]
     groups.sort(key=lambda g: g[0])
     return GroupPartition(groups=tuple(groups))
 

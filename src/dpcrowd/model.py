@@ -14,9 +14,7 @@ import numpy as np
 
 __all__ = [
     "ProcessModel",
-    "TrueState",
     "StreamPrefix",
-    "step_process",
     "partition_users",
 ]
 
@@ -67,30 +65,6 @@ class ProcessModel:
             q = np.asarray(self.noise_var, dtype=float)
             return 1 if q.ndim == 0 else q.shape[0]
         return a.shape[0]
-
-
-@dataclass(frozen=True)
-class TrueState:
-    """The latent statistic at one timestamp."""
-
-    t: int
-    value: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.value, dtype=float)
-        if v.ndim != 1:
-            raise ValueError("state value must be a 1-D vector")
-        object.__setattr__(self, "value", v)
-
-
-def step_process(model: ProcessModel, state: TrueState, rng: np.random.Generator) -> TrueState:
-    """Advance the latent statistic one timestamp."""
-    if state.value.shape != (model.d,):
-        raise ValueError(
-            f"state dimension {state.value.shape} does not match model dimension {model.d}"
-        )
-    noise = rng.normal(0.0, np.sqrt(model.noise_var))
-    return TrueState(t=state.t + 1, value=model.transition @ state.value + noise)
 
 
 def partition_users(n: int, m: int, rng: np.random.Generator) -> np.ndarray:

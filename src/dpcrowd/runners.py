@@ -321,14 +321,13 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                     eps_left_after[i, k] = max(0.0, min(before, cfg.epsilon) - grant)
                 if not granted:
                     continue
-                if grouping:
-                    # forecasts and trends read only the last tau releases
-                    recent = releases[i, max(0, tidx - tau):tidx, :]
-                    predictions = np.full(d, np.nan)  # only granted entries are read
-                    if len(granted) > 1:
-                        # a lone dimension is a singleton group whatever its forecast
-                        predictions[granted] = predict_region(recent[:, granted], tau)
-                    partition = group_regions(granted, predictions, recent.T, thresholds)
+                if grouping and len(granted) > 1:
+                    # forecasts and trends read only the last tau releases of
+                    # the granted columns; a lone grant is a group of its own,
+                    # whose draw is bitwise perturb_count's, so it skips this
+                    recent = releases[i, max(0, tidx - tau):tidx][:, granted]
+                    predictions = predict_region(recent, tau)
+                    partition = group_regions(granted, predictions, recent, thresholds)
                     shares = perturb_groups(
                         partition, x_raw[i], grants[i], sensitivity, server_rngs[i]
                     )

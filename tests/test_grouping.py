@@ -1,3 +1,6 @@
+import copy
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,50 +12,117 @@ from dpcrowd.grouping import (
     GroupPartition,
     GroupingThresholds,
     group_regions,
-    padded_history,
     perturb_groups,
     predict_region,
-    trend_deviation,
 )
+from dpcrowd.privacy import perturb_count
 
 
 THR = GroupingThresholds(large_value=100.0, value_gap=5.0, trend_gap=0.5, history_window=3)
 
 
+# ------------------------------------------- pairwise reference (one column at a time)
+
+def _padded(history, window):
+    """Last `window` values, front-padded by repeating the earliest one."""
+    vals = [float(v) for v in history[-window:]]
+    if not vals:
+        return np.zeros(window)
+    if len(vals) < window:
+        vals = [vals[0]] * (window - len(vals)) + vals
+    return np.asarray(vals)
+
+
+def _normalized(values):
+    lo = float(values.min())
+    hi = float(values.max())
+    if hi - lo <= 0:
+        return np.zeros_like(values)
+    return (values - lo) / (hi - lo)
+
+
+def _trend_deviation(history_a, history_b, window):
+    a = _normalized(_padded(history_a, window))
+    b = _normalized(_padded(history_b, window))
+    return float(np.mean(np.abs(a - b)))
+
+
+def _reference_groups(sampled, predictions, histories, thresholds):
+    """Pairwise grouping: predictions[k] and histories[k] indexed by dimension."""
+    sampled = sorted(set(int(k) for k in sampled))
+    groups, small = [], []
+    for k in sampled:
+        if predictions[k] >= thresholds.large_value:
+            groups.append((k,))
+        else:
+            small.append(k)
+    small.sort(key=lambda k: (predictions[k], k))
+    remaining = list(small)
+    while remaining:
+        seed = remaining.pop(0)
+        group, keep = [seed], []
+        for k in remaining:
+            close_value = abs(predictions[k] - predictions[seed]) <= thresholds.value_gap
+            close_trend = (
+                _trend_deviation(histories[k], histories[seed], thresholds.history_window)
+                <= thresholds.trend_gap
+            )
+            if close_value and close_trend:
+                group.append(k)
+            else:
+                keep.append(k)
+        remaining = keep
+        groups.append(tuple(sorted(group)))
+    groups.sort(key=lambda g: g[0])
+    return tuple(groups)
+
+
+def _column(values):
+    return np.asarray(values, dtype=float)[:, None]
+
+
 # ------------------------------------------------------------- predictions
 
 def test_predict_region_constant_history():
-    assert predict_region([10.0, 10.0, 10.0], 3) == 10.0
+    assert predict_region(_column([10.0, 10.0, 10.0]), 3).tolist() == [10.0]
 
 
 def test_predict_region_mean_of_last_window():
-    assert predict_region([1.0, 2.0, 3.0, 4.0, 5.0], 3) == pytest.approx(4.0)
+    assert predict_region(_column([1.0, 2.0, 3.0, 4.0, 5.0]), 3)[0] == pytest.approx(4.0)
 
 
 def test_predict_region_cold_start():
-    assert predict_region([], 3) == 0.0
+    assert predict_region(np.empty((0, 2)), 3).tolist() == [0.0, 0.0]
 
 
 def test_predict_region_pads_short_history():
     # (2, 2, 5) after padding with the earliest value
-    assert predict_region([2.0, 5.0], 3) == pytest.approx(3.0)
+    assert predict_region(_column([2.0, 5.0]), 3)[0] == pytest.approx(3.0)
 
 
 def test_padded_history_repeats_earliest():
-    assert padded_history([7.0], 3).tolist() == [7.0, 7.0, 7.0]
+    # grouping pads (2, 5) and (0, 3) to (2, 2, 5) and (0, 0, 3): the same
+    # normalized trend, so they merge even at a zero trend gap. Zero padding
+    # would give (0, 2, 5) and (0, 0, 3), which differ.
+    thr = GroupingThresholds(large_value=100.0, value_gap=5.0, trend_gap=0.0, history_window=3)
+    history = np.array([[2.0, 0.0], [5.0, 3.0]])
+    assert group_regions([0, 1], [3.0, 1.0], history, thr).groups == ((0, 1),)
 
 
 def test_history_column_matches_list():
-    # the engine passes numpy columns releases[i, :tidx, k]
+    # the engine passes slices releases[i, a:b][:, granted]; they must forecast
+    # and group exactly as the same values given as plain lists
     releases = np.random.default_rng(3).normal(50.0, 10.0, size=(2, 1000, 3))
     for tidx in (1, 2, 1000):
-        column = releases[1, :tidx, 2]
-        values = column.tolist()
         for window in (1, 3, 5):
-            assert padded_history(column, window).tolist() == padded_history(values, window).tolist()
-            assert predict_region(column, window) == predict_region(values, window)
-    short = releases[1, :2, 2]
-    assert padded_history(short, 4).tolist() == [short[0]] * 3 + [short[1]]
+            recent = releases[1, max(0, tidx - window):tidx][:, [0, 2]]
+            values = recent.tolist()
+            got = predict_region(recent, window)
+            assert got.tobytes() == predict_region(values, window).tobytes()
+            assert got.tolist() == [_padded(column, window).mean() for column in recent.T]
+            thr = GroupingThresholds(100.0, 30.0, 0.4, window)
+            part = group_regions([0, 2], got, recent, thr)
+            assert part == group_regions([0, 2], got, values, thr)
 
 
 @settings(max_examples=300, deadline=None)
@@ -65,33 +135,41 @@ def test_history_column_matches_list():
 )
 def test_predict_region_columns_match_one_dimensional(window, rows, cols, exponent, seed):
     # the engine forecasts all granted dimensions in one call; each column must
-    # be bitwise the forecast the 1-D form gives, at every window length
+    # be bitwise the mean of that column alone, padded, at every window length
     history = np.random.default_rng(seed).uniform(0.0, 10.0**exponent, size=(rows, cols))
     got = predict_region(history, window)
-    want = np.array([predict_region(history[:, k], window) for k in range(cols)])
+    want = np.array([np.mean(_padded(history[:, k], window)) for k in range(cols)])
     assert got.shape == (cols,)
     assert got.tobytes() == want.tobytes()
 
 
 def test_trend_deviation_identical_histories():
-    assert trend_deviation([1, 2, 3], [10, 20, 30], 3) == pytest.approx(0.0)
+    # (1, 2, 3) and (10, 20, 30) normalize to the same trend: deviation 0
+    thr = GroupingThresholds(large_value=100.0, value_gap=50.0, trend_gap=0.0, history_window=3)
+    history = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
+    assert group_regions([0, 1], [2.0, 20.0], history, thr).groups == ((0, 1),)
 
 
 def test_trend_deviation_constant_history_is_zero_trend():
-    assert trend_deviation([5, 5, 5], [1, 2, 3], 3) == pytest.approx(np.abs([0 - 0, 0 - 0.5, 0 - 1]).mean())
+    # (5, 5, 5) normalizes to zeros, (1, 2, 3) to (0, 0.5, 1): deviation 0.5
+    history = np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
+    at_gap = GroupingThresholds(large_value=100.0, value_gap=5.0, trend_gap=0.5, history_window=3)
+    below = GroupingThresholds(100.0, 5.0, math.nextafter(0.5, 0.0), 3)
+    assert group_regions([0, 1], [5.0, 2.0], history, at_gap).groups == ((0, 1),)
+    assert group_regions([0, 1], [5.0, 2.0], history, below).groups == ((0,), (1,))
 
 
 # ---------------------------------------------------------------- grouping
 
 def test_all_large_all_singletons():
-    hist = [[500.0]] * 3
+    hist = np.full((1, 3), 500.0)
     part = group_regions([0, 1, 2], [500.0, 600.0, 700.0], hist, THR)
     assert part.groups == ((0,), (1,), (2,))
 
 
 def test_hand_traced_partition():
     # predictions (2, 2, 1000): the two small close dims merge, the big one solo
-    hist = [[2.0, 2.0, 2.0], [2.0, 2.0, 2.0], [1000.0, 1000.0, 1000.0]]
+    hist = np.array([[2.0, 2.0, 1000.0]] * 3)
     part = group_regions([0, 1, 2], [2.0, 2.0, 1000.0], hist, THR)
     assert part.groups == ((0, 1), (2,))
 
@@ -102,22 +180,23 @@ def test_single_dimension_is_singleton():
 
 
 def test_value_gap_blocks_merge():
-    hist = [[1.0]] * 2
+    hist = np.ones((1, 2))
     part = group_regions([0, 1], [1.0, 50.0], hist, THR)
     assert part.groups == ((0,), (1,))
 
 
 def test_trend_gap_blocks_merge():
     thr = GroupingThresholds(large_value=100.0, value_gap=5.0, trend_gap=0.1, history_window=3)
-    part = group_regions([0, 1], [1.0, 1.0], [[1, 2, 3], [3, 2, 1]], thr)
+    part = group_regions([0, 1], [1.0, 1.0], np.array([[1, 3], [2, 2], [3, 1]]), thr)
     assert part.groups == ((0,), (1,))
 
 
 def test_partition_is_deterministic():
-    hist = [[3.0, 1.0], [1.0, 3.0], [2.0, 2.0], [9.0, 9.0]]
+    hist = np.array([[3.0, 1.0, 2.0, 9.0], [1.0, 3.0, 2.0, 9.0]])
     preds = [2.0, 2.0, 2.0, 9.0]
     a = group_regions([0, 1, 2, 3], preds, hist, THR)
-    b = group_regions([3, 2, 1, 0], preds, hist, THR)
+    # the same dimensions listed in reverse, with their columns and forecasts
+    b = group_regions([3, 2, 1, 0], preds[::-1], hist[:, ::-1], THR)
     assert a.groups == b.groups
 
 
@@ -127,11 +206,63 @@ def test_partition_is_deterministic():
 @settings(max_examples=100, deadline=None)
 def test_partition_always_valid(preds):
     dims = list(range(len(preds)))
-    hist = [[p, p, p] for p in preds]
+    hist = np.array([preds] * 3)
     part = group_regions(dims, preds, hist, THR)
     seen = [k for g in part.groups for k in g]
     assert sorted(seen) == dims  # disjoint cover
     assert all(len(g) >= 1 for g in part.groups)
+
+
+_POOL = (0.0, 1.0, 2.0, 3.0, 100.0)  # repeated values: constant columns and tied forecasts
+
+
+def _nudged(draw, value):
+    """value itself, or the next float above or below it."""
+    step = draw(st.sampled_from((0.0, math.inf, -math.inf)))
+    return value if step == 0.0 else math.nextafter(value, step)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_group_regions_matches_pairwise_reference(data):
+    draw = data.draw
+    tau = draw(st.integers(1, 12), label="tau")
+    rows = draw(st.integers(0, 2 * tau), label="rows")
+    k = draw(st.integers(2, 6), label="k")
+    dims = sorted(draw(st.sets(st.integers(0, 7), min_size=k, max_size=k), label="dims"))
+    values = st.one_of(st.sampled_from(_POOL), st.floats(0.0, 1e4))
+    columns = []
+    for _ in range(k):
+        if draw(st.booleans()):
+            columns.append([draw(values)] * rows)
+        else:
+            columns.append([draw(values) for _ in range(rows)])
+    history = np.array(columns, dtype=float).T.reshape(rows, k)
+    if draw(st.booleans()):
+        predictions = predict_region(history, tau)
+    else:
+        predictions = np.array(draw(st.lists(values, min_size=k, max_size=k)))
+
+    # thresholds sit on, or one float beside, a forecast, a forecast gap and a
+    # trend deviation of this very input
+    a, b = draw(st.permutations(range(k)))[:2]
+    large = _nudged(draw, float(predictions[a]))
+    value_gap = _nudged(draw, float(abs(predictions[a] - predictions[b])))
+    trend_gap = _nudged(draw, _trend_deviation(history[:, a], history[:, b], tau))
+    thr = GroupingThresholds(
+        large_value=large if large > 0 else 1.0,
+        value_gap=max(value_gap, 0.0),
+        trend_gap=max(trend_gap, 0.0),
+        history_window=tau,
+    )
+
+    full_predictions = np.full(8, np.nan)
+    full_predictions[dims] = predictions
+    full_histories = [[] for _ in range(8)]
+    for j, dim in enumerate(dims):
+        full_histories[dim] = history[:, j]
+    want = _reference_groups(dims, full_predictions, full_histories, thr)
+    assert group_regions(dims, predictions, history, thr).groups == want
 
 
 def test_partition_type_rejects_overlap():
@@ -209,3 +340,50 @@ def test_charges_each_member_budget(monkeypatch):
         for k in range(cfg.model.d):
             charged = sorted(t for t, _ in ledger.spends[k])
             assert charged == [int(t) + 1 for t in np.flatnonzero(res.sampled[i, :, k])]
+
+
+def test_lone_grant_skips_grouping(monkeypatch):
+    # a server granted one dimension perturbs it with perturb_count directly,
+    # the draw a singleton group would give, without grouping at all
+    lone, grouped = [], []
+    group_original, perturb_original, count_original = (
+        runners.group_regions, runners.perturb_groups, runners.perturb_count,
+    )
+
+    def grouping(sampled, *args):
+        grouped.append(len(sampled))
+        return group_original(sampled, *args)
+
+    def perturbing(partition, *args):
+        assert sum(len(g) for g in partition.groups) > 1
+        return perturb_original(partition, *args)
+
+    def counting(value, sensitivity, eps_t, rng):
+        before = copy.deepcopy(rng)
+        singleton = perturb_original(
+            GroupPartition(groups=((0,),)), [value], [eps_t], sensitivity, copy.deepcopy(rng)
+        )[0]
+        released = count_original(value, sensitivity, eps_t, rng)
+        assert released == count_original(value, sensitivity, eps_t, before) == singleton
+        lone.append(released)
+        return released
+
+    monkeypatch.setattr(runners, "group_regions", grouping)
+    monkeypatch.setattr(runners, "perturb_groups", perturbing)
+    monkeypatch.setattr(runners, "perturb_count", counting)
+    cfg = ExperimentConfig(
+        algorithm="dpcrowd_plus", seed=2, timestamps=60, users=2000, w=10,
+        model=ModelConfig(d=3, q=(1.0, 100.0, 1e4)), data=DataConfig(initial=(5.0, 50.0, 500.0)),
+        net=NetConfig(m=3, rho=1.0, seed=1),
+    )
+    res = runners.run_experiment(cfg)
+    per_server = res.sampled.sum(axis=2)  # (m, T) granted dimensions
+    assert min(grouped) > 1
+    assert len(grouped) == int((per_server > 1).sum()) > 0
+    # draws come in (t, server) order; each is the lone dimension's observation
+    pairs = [(t, i) for t in range(cfg.timestamps) for i in range(cfg.net.m)
+             if per_server[i, t] == 1]
+    assert len(lone) == len(pairs) > 0
+    for (t, i), released in zip(pairs, lone):
+        k = int(np.flatnonzero(res.sampled[i, t])[0])
+        assert res.observations[i, t, k] == released

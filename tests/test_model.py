@@ -5,43 +5,33 @@ from hypothesis import strategies as st
 
 from dpcrowd import runners
 from dpcrowd.config import ExperimentConfig, ModelConfig, NetConfig
-from dpcrowd.model import (
-    ProcessModel,
-    StreamPrefix,
-    TrueState,
-    partition_users,
-    step_process,
-)
+from dpcrowd.datasets import generate_stream
+from dpcrowd.model import ProcessModel, StreamPrefix, partition_users
 
 
 def test_step_identity_no_noise():
     model = ProcessModel(transition=np.array([[1.0]]), noise_var=np.array([0.0]))
-    state = TrueState(t=1, value=np.array([42.0]))
-    nxt = step_process(model, state, np.random.default_rng(0))
-    assert nxt.t == 2
-    assert nxt.value[0] == 42.0
+    values = generate_stream(model, [42.0], 2, np.random.default_rng(0), clamp=False).values
+    assert values.tolist() == [[42.0], [42.0]]
 
 
 def test_step_identity_2d():
     model = ProcessModel(transition=np.eye(2), noise_var=np.zeros(2))
-    state = TrueState(t=3, value=np.array([3.0, 5.0]))
-    nxt = step_process(model, state, np.random.default_rng(0))
-    assert np.array_equal(nxt.value, [3.0, 5.0])
+    values = generate_stream(model, [3.0, 5.0], 4, np.random.default_rng(0), clamp=False).values
+    assert np.array_equal(values, [[3.0, 5.0]] * 4)
 
 
 def test_step_noise_variance():
     # A=1, Q=1e5: increments are N(0, 1e5); sample variance within 5%
     model = ProcessModel(transition=np.array([[1.0]]), noise_var=np.array([1e5]))
-    rng = np.random.default_rng(7)
-    state = TrueState(t=1, value=np.array([0.0]))
-    draws = np.array([step_process(model, state, rng).value[0] for _ in range(10_000)])
-    assert 0.95e5 < draws.var() < 1.05e5
+    values = generate_stream(model, [0.0], 10_001, np.random.default_rng(7), clamp=False).values
+    assert 0.95e5 < np.diff(values[:, 0]).var() < 1.05e5
 
 
 def test_step_dimension_mismatch():
     model = ProcessModel(transition=np.eye(2), noise_var=np.zeros(2))
     with pytest.raises(ValueError):
-        step_process(model, TrueState(t=0, value=np.array([1.0])), np.random.default_rng(0))
+        generate_stream(model, [1.0, 2.0, 3.0], 3, np.random.default_rng(0))
 
 
 def test_partition_single_server():
