@@ -18,17 +18,7 @@ from .datasets import CsvFormatError, gen_linear, gen_multilinear, load_csv, sav
 from .metrics import compute_ace, compute_are, summarize
 from .privacy import BudgetError, PrivacyLedger, laplace_sample, perturb_count
 from .report import write_report
-from .runners import (
-    RunDivergedError,
-    RunResult,
-    run_dfast,
-    run_dpcrowd,
-    run_dpcrowd_plus,
-    run_dpcrowd_w,
-    run_experiment,
-    run_fast,
-    run_nonprivate,
-)
+from .runners import RunDivergedError, RunResult, run_experiment
 
 __version__ = "0.1.0"
 
@@ -51,13 +41,7 @@ __all__ = [
     "load_config",
     "load_csv",
     "perturb_count",
-    "run_dfast",
-    "run_dpcrowd",
-    "run_dpcrowd_plus",
-    "run_dpcrowd_w",
     "run_experiment",
-    "run_fast",
-    "run_nonprivate",
     "save_csv",
     "summarize",
     "write_report",

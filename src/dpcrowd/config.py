@@ -1,8 +1,9 @@
 """Experiment configuration: flat key-value files with dotted sections.
 
 A config file holds one `key = value` pair per line; `#` starts a comment.
-Keys use dotted sections (net.m, pid.cp, ...). Values are parsed as bool,
-int, float, comma-separated float lists, or strings, in that order.
+Keys use dotted sections (net.m, pid.cp, ...). Each value is parsed by its
+key's type: a boolean word (true/false, yes/no, on/off, 1/0) for a bool, an
+integer, a number, comma-separated numbers, or text kept as written.
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ _SECTIONS = {
 
 def _parse_value(raw: str, target_type):
     raw = raw.strip()
-    if target_type is bool or raw.lower() in ("true", "false", "yes", "no", "on", "off"):
+    if target_type is bool:
         if raw.lower() in ("true", "yes", "on", "1"):
             return True
         if raw.lower() in ("false", "no", "off", "0"):

@@ -32,12 +32,13 @@ def as_transition(transition, d: int) -> np.ndarray:
 
 
 def as_noise_diag(noise_var, d: int) -> np.ndarray:
-    """Coerce a scalar or length-d array-like into a per-dimension variance vector."""
+    """Coerce a scalar, length-1 or length-d array-like into a per-dimension
+    variance vector; a single value applies to every dimension."""
     q = np.asarray(noise_var, dtype=float)
-    if q.ndim == 0:
-        q = np.full(d, float(q))
+    if q.shape in ((), (1,)):
+        q = np.full(d, q.item())
     if q.shape != (d,):
-        raise ValueError(f"noise_var must be scalar or length {d}, got shape {q.shape}")
+        raise ValueError(f"noise_var must be one value or length {d}, got shape {q.shape}")
     if not np.all(np.isfinite(q)) or np.any(q < 0):
         raise ValueError("process noise variances must be finite and non-negative")
     return q

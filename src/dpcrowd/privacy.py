@@ -1,18 +1,21 @@
 """Laplace perturbation and privacy-budget accounting.
 
-Budgets are tracked per dimension. Two modes exist: 'user' (one budget over
-the whole finite stream) and 'w_event' (every sliding window of w timestamps
-must stay within the budget, per dimension). Charges are fail-closed: a
-request that would breach any window raises BudgetError and nothing is
-recorded, so an accepted history can never exceed the budget. Charges arrive
-in timestamp order per dimension, so a w-event charge only has to check the
-window ending at its own timestamp.
+Budgets are tracked per dimension under one rule: every sliding window of w
+timestamps must stay within the budget. User-level privacy over a T-long
+stream is w = T. Charges are fail-closed: a request that would breach any
+window raises BudgetError and nothing is recorded, so an accepted history
+can never exceed the budget. Charges arrive in timestamp order per
+dimension, so a charge only has to check the window ending at its own
+timestamp.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -26,7 +29,7 @@ __all__ = [
     "allocate_adaptive",
 ]
 
-LEDGER_MODES = ("user", "w_event")
+_amount = itemgetter(1)  # (timestamp, amount) spend -> amount
 
 
 class BudgetError(RuntimeError):
@@ -81,47 +84,38 @@ def perturb_count(value: float, sensitivity: float, eps_t: float, rng: np.random
 
 
 class PrivacyLedger:
-    """Per-dimension record of budget spends with fail-closed charging."""
+    """Per-dimension record of budget spends with fail-closed charging.
 
-    def __init__(self, mode: str, epsilon_total: float, dims: int = 1, w: int = 0):
-        if mode not in LEDGER_MODES:
-            raise ValueError(f"mode must be one of {LEDGER_MODES}, got {mode!r}")
+    Every window of w consecutive timestamps must stay within the budget, per
+    dimension. w-event privacy sets w to its window; user-level privacy over a
+    T-long stream is the case w = T, where every window holding a spend of
+    the run holds all of them.
+    """
+
+    def __init__(self, epsilon_total: float, dims: int = 1, *, w: int):
         if epsilon_total <= 0:
             raise ValueError(f"total budget must be positive, got {epsilon_total}")
         if dims < 1:
             raise ValueError(f"need at least one dimension, got {dims}")
-        if mode == "w_event" and w < 1:
-            raise ValueError(f"w_event mode needs a window length w >= 1, got {w}")
-        self.mode = mode
+        if w < 1:
+            raise ValueError(f"need a window length w >= 1, got {w}")
         self.epsilon_total = float(epsilon_total)
         self.dims = dims
         self.w = int(w)
         self.spends: list[list[tuple[int, float]]] = [[] for _ in range(dims)]
 
-    def _window_spends(self, dim: int, lo: int, hi: int) -> list[float]:
-        """Spends at timestamps lo..hi, walking back from the newest spend.
+    def _window_spends(self, dim: int, lo: int, hi: int) -> Iterator[float]:
+        """Amounts spent at timestamps lo..hi.
 
-        Spends are recorded in timestamp order, so the walk stops at the first
-        one older than lo and touches only the window, not the history.
+        Spends are recorded in timestamp order, so two bisections on (ts,)
+        find the window without walking the history.
         """
-        found = []
-        for ts, e in reversed(self.spends[dim]):
-            if ts < lo:
-                break
-            if ts <= hi:
-                found.append(e)
-        return found
-
-    def total_spent(self, dim: int) -> float:
-        return math.fsum(e for (_, e) in self.spends[dim])
+        spends = self.spends[dim]
+        first = bisect_left(spends, (lo,))
+        return map(_amount, spends[first:bisect_left(spends, (hi + 1,), first)])
 
     def remaining_window(self, dim: int, t: int) -> float:
-        """Budget left for a new charge at t: total minus the trailing-window spend.
-
-        In user mode the 'window' is the whole stream.
-        """
-        if self.mode == "user":
-            return self.epsilon_total - self.total_spent(dim)
+        """Budget left for a new charge at t: total minus the trailing-window spend."""
         return self.epsilon_total - math.fsum(self._window_spends(dim, t - self.w + 1, t - 1))
 
     def charge(self, dim: int, t: int, eps_t: float) -> None:
@@ -141,36 +135,28 @@ class PrivacyLedger:
                 f"charge at t={t} precedes the latest spend at t={spends[-1][0]} "
                 f"in dimension {dim}; charges must arrive in timestamp order"
             )
-        if self.mode == "user":
-            attempted = math.fsum([e for (_, e) in spends] + [eps_t])
-            if attempted > self.epsilon_total:
-                raise BudgetError(dim, (-(2**31), 2**31), attempted, self.epsilon_total)
-        else:
-            # Every window holding t must stay within budget. No spend is
-            # newer than t, so each later window holds a subset of the spends
-            # in the window ending at t; with non-negative spends and an exact
-            # sum, that window is the only one that can breach.
-            lo = t - self.w + 1
-            attempted = math.fsum(self._window_spends(dim, lo, t) + [eps_t])
-            if attempted > self.epsilon_total:
-                raise BudgetError(dim, (lo, t), attempted, self.epsilon_total)
+        # Every window holding t must stay within budget. No spend is newer
+        # than t, so each later window holds a subset of the spends in the
+        # window ending at t; with non-negative spends and an exact sum, that
+        # window is the only one that can breach.
+        lo = t - self.w + 1
+        attempted = math.fsum(chain(self._window_spends(dim, lo, t), (eps_t,)))
+        if attempted > self.epsilon_total:
+            raise BudgetError(dim, (lo, t), attempted, self.epsilon_total)
         spends.append((t, eps_t))
 
     def audit(self) -> None:
         """Independent re-scan of every recorded window; raises on violation.
 
-        Shares no code with charge and does not trust the recorded order. In
-        w-event mode a window holding the spend set S lies inside the window
-        that starts at min(S), and an exact sum of non-negative spends only
-        grows with the set, so checking the windows that start at a spend
-        timestamp rejects exactly what a scan of every window rejects.
+        Shares no code with charge and does not trust the recorded order. A
+        window holding the spend set S lies inside the window that starts at
+        min(S), and an exact sum of non-negative spends only grows with the
+        set, so checking the windows that start at a spend timestamp rejects
+        exactly what a scan of every window rejects. Once such a window
+        reaches the newest spend, every later one holds a subset of its
+        spends, so the scan stops there.
         """
         for dim in range(self.dims):
-            if self.mode == "user":
-                total = self.total_spent(dim)
-                if total > self.epsilon_total:
-                    raise BudgetError(dim, (-(2**31), 2**31), total, self.epsilon_total)
-                continue
             ordered = sorted(self.spends[dim])
             stamps = [ts for (ts, _) in ordered]
             for start in sorted(set(stamps)):
@@ -180,6 +166,8 @@ class PrivacyLedger:
                 total = math.fsum(e for (_, e) in ordered[first:stop])
                 if total > self.epsilon_total:
                     raise BudgetError(dim, (start, end), total, self.epsilon_total)
+                if stop == len(ordered):
+                    break
 
 
 def allocate_uniform(epsilon_total: float, num_samples: int) -> float:

@@ -29,18 +29,13 @@ from .sampling import PidController, SamplingSchedule, feedback_error, next_inte
 __all__ = [
     "RunDivergedError",
     "RunResult",
-    "run_nonprivate",
-    "run_dpcrowd",
-    "run_dpcrowd_plus",
-    "run_dpcrowd_w",
-    "run_fast",
-    "run_dfast",
     "run_experiment",
 ]
 
 @dataclass(frozen=True)
 class _Policy:
-    ledger_mode: str | None  # 'user' | 'w_event' | None (no privacy)
+    private: bool  # perturbed, budget-charged observations
+    w_event: bool  # ledger window w (w-event), else the whole run (user-level, w = T)
     adaptive: bool  # w-event budget allocation, budget-aware intervals, grouping
     communicate: bool  # one-hop consensus exchange
     flood: bool  # network-wide flooding and unweighted averaging
@@ -99,12 +94,8 @@ class RunResult:
 
 
 def _build_process(cfg: ExperimentConfig) -> ProcessModel:
-    d = cfg.model.d
-    transition = build_transition(d, cfg.model.a, cfg.model.a_offdiag)
-    q = np.asarray(cfg.model.q, dtype=float)
-    if q.shape == (1,) and d > 1:
-        q = np.full(d, float(q[0]))
-    return ProcessModel(transition=transition, noise_var=q)
+    transition = build_transition(cfg.model.d, cfg.model.a, cfg.model.a_offdiag)
+    return ProcessModel(transition=transition, noise_var=cfg.model.q)
 
 
 def _make_truth(cfg: ExperimentConfig, model: ProcessModel, rng: np.random.Generator) -> np.ndarray:
@@ -119,10 +110,9 @@ def _make_truth(cfg: ExperimentConfig, model: ProcessModel, rng: np.random.Gener
                 f"data file has {stream.timestamps} rows but timestamps = {cfg.timestamps}"
             )
         return stream.values[: cfg.timestamps].copy()
-    initial = np.asarray(cfg.data.initial, dtype=float)
-    if initial.shape == (1,) and cfg.model.d > 1:
-        initial = np.full(cfg.model.d, float(initial[0]))
-    return generate_stream(model, initial, cfg.timestamps, rng, clamp=cfg.data.clamp).values
+    return generate_stream(
+        model, cfg.data.initial, cfg.timestamps, rng, clamp=cfg.data.clamp
+    ).values
 
 
 def _planned_samples(mode: str, length: int, interval: int, fraction: float) -> int:
@@ -165,12 +155,11 @@ def _check_consensus_stability(adj: np.ndarray, beta: float) -> None:
 
 
 def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
-    cfg.validate()
     d = cfg.model.d
     m = cfg.net.m
     timestamps = cfg.timestamps
     sensitivity = cfg.sensitivity_c
-    private = policy.ledger_mode is not None
+    private = policy.private
     grouping = policy.adaptive and cfg.grouping.enabled
     process = _build_process(cfg)
     transition = process.transition
@@ -198,10 +187,8 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
 
     ledgers: list[PrivacyLedger] | None = None
     if private:
-        ledgers = [
-            PrivacyLedger(policy.ledger_mode, cfg.epsilon, dims=d, w=cfg.w)
-            for _ in range(m)
-        ]
+        ledger_w = cfg.w if policy.w_event else timestamps
+        ledgers = [PrivacyLedger(cfg.epsilon, dims=d, w=ledger_w) for _ in range(m)]
     eps_max = cfg.epsilon * cfg.eps_max_fraction
     thresholds = _grouping_thresholds(cfg) if grouping else None
     tau = cfg.grouping.tau
@@ -457,75 +444,38 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     return result
 
 
-# ledger_mode None runs without privacy: raw aggregates, sampled every
-# timestamp. adaptive turns on the budget-driven allocation, the budget-aware
-# interval law and (unless grouping.enabled is false) dynamic grouping.
+# A non-private policy runs on raw aggregates, sampled every timestamp.
+# adaptive turns on the budget-driven allocation, the budget-aware interval
+# law and (unless grouping.enabled is false) dynamic grouping.
 _POLICIES = {
     "nonprivate": _Policy(
-        ledger_mode=None, adaptive=False, communicate=True, flood=False, window_restart=False,
+        private=False, w_event=False, adaptive=False, communicate=True, flood=False,
+        window_restart=False,
     ),
     "dpcrowd": _Policy(
-        ledger_mode="user", adaptive=False, communicate=True, flood=False, window_restart=False,
+        private=True, w_event=False, adaptive=False, communicate=True, flood=False,
+        window_restart=False,
     ),
     "fast": _Policy(
-        ledger_mode="user", adaptive=False, communicate=False, flood=False, window_restart=False,
+        private=True, w_event=False, adaptive=False, communicate=False, flood=False,
+        window_restart=False,
     ),
     "dfast": _Policy(
-        ledger_mode="user", adaptive=False, communicate=False, flood=True, window_restart=False,
+        private=True, w_event=False, adaptive=False, communicate=False, flood=True,
+        window_restart=False,
     ),
     "dpcrowd_plus": _Policy(
-        ledger_mode="w_event", adaptive=True, communicate=True, flood=False, window_restart=False,
+        private=True, w_event=True, adaptive=True, communicate=True, flood=False,
+        window_restart=False,
     ),
     "dpcrowd_w": _Policy(
-        ledger_mode="w_event", adaptive=False, communicate=True, flood=False, window_restart=True,
+        private=True, w_event=True, adaptive=False, communicate=True, flood=False,
+        window_restart=True,
     ),
-}
-
-
-def run_nonprivate(cfg: ExperimentConfig) -> RunResult:
-    """Algorithm with raw aggregates and full-rate broadcasting (no privacy)."""
-    return _simulate(cfg, _POLICIES["nonprivate"])
-
-
-def run_dpcrowd(cfg: ExperimentConfig) -> RunResult:
-    """User-level private, intermittent, consensus-filtered estimation (d = 1)."""
-    if cfg.model.d != 1:
-        raise ConfigError("dpcrowd runs one-dimensional streams")
-    return _simulate(cfg, _POLICIES["dpcrowd"])
-
-
-def run_fast(cfg: ExperimentConfig) -> RunResult:
-    """Per-server private filtering with adaptive sampling and no communication."""
-    return _simulate(cfg, _POLICIES["fast"])
-
-
-def run_dfast(cfg: ExperimentConfig) -> RunResult:
-    """FAST locally, plus network-wide flooding and unweighted averaging."""
-    return _simulate(cfg, _POLICIES["dfast"])
-
-
-def run_dpcrowd_plus(cfg: ExperimentConfig) -> RunResult:
-    """w-event private multi-dimensional estimation with budget-aware sampling
-    and dynamic grouping."""
-    return _simulate(cfg, _POLICIES["dpcrowd_plus"])
-
-
-def run_dpcrowd_w(cfg: ExperimentConfig) -> RunResult:
-    """Baseline: independent finite-stream runs on consecutive w-length blocks."""
-    return _simulate(cfg, _POLICIES["dpcrowd_w"])
-
-
-_RUNNERS = {
-    "nonprivate": run_nonprivate,
-    "dpcrowd": run_dpcrowd,
-    "fast": run_fast,
-    "dfast": run_dfast,
-    "dpcrowd_plus": run_dpcrowd_plus,
-    "dpcrowd_w": run_dpcrowd_w,
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Dispatch on cfg.algorithm."""
+    """Validate cfg and run its algorithm's policy through the engine."""
     cfg.validate()
-    return _RUNNERS[cfg.algorithm](cfg)
+    return _simulate(cfg, _POLICIES[cfg.algorithm])

@@ -27,14 +27,7 @@ from dpcrowd.model import StreamPrefix
 from dpcrowd.netsim import TopologySchedule, degrees
 from dpcrowd.privacy import laplace_sample
 from dpcrowd.report import write_report
-from dpcrowd.runners import (
-    run_dfast,
-    run_dpcrowd,
-    run_dpcrowd_plus,
-    run_dpcrowd_w,
-    run_experiment,
-    run_nonprivate,
-)
+from dpcrowd.runners import run_experiment
 
 SEEDS = tuple(range(100, 120))  # 20 seeds for every averaged comparison
 EPS_GRID = (0.1, 0.3, 0.5, 0.7, 1.0)
@@ -105,7 +98,7 @@ def linear_grid():
 
 @pytest.fixture(scope="module")
 def dfast_runs():
-    return [_record(run_dfast(_linear_cfg("dfast", seed, 0.1))) for seed in SEEDS]
+    return [_record(run_experiment(_linear_cfg("dfast", seed, 0.1))) for seed in SEEDS]
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +106,7 @@ def rho_runs():
     table = {}
     for rho in RHO_GRID:
         for seed in SEEDS:
-            table[rho, seed] = _record(run_dpcrowd(_linear_cfg("dpcrowd", seed, 0.1, rho)))
+            table[rho, seed] = _record(run_experiment(_linear_cfg("dpcrowd", seed, 0.1, rho)))
     return table
 
 
@@ -148,14 +141,14 @@ def plus_w_grid(sparse_csvs):
     table = {}
     for w in (10, 20, 40, 80):
         for seed in SEEDS:
-            res = run_dpcrowd_plus(_multi_cfg("dpcrowd_plus", seed, w, sparse_csvs[seed]))
+            res = run_experiment(_multi_cfg("dpcrowd_plus", seed, w, sparse_csvs[seed]))
             table[w, seed] = summarize(res.releases, res.truth).are
     return table
 
 
 @pytest.fixture(scope="module")
 def windowed_baseline_runs(sparse_csvs):
-    runs = [run_dpcrowd_w(_multi_cfg("dpcrowd_w", seed, 20, sparse_csvs[seed])) for seed in SEEDS]
+    runs = [run_experiment(_multi_cfg("dpcrowd_w", seed, 20, sparse_csvs[seed])) for seed in SEEDS]
     return [summarize(r.releases, r.truth).are for r in runs]
 
 
@@ -180,7 +173,7 @@ def test_criterion_01_total_budget_never_exceeded():
                 max_fraction=float(rng.uniform(0.1, 1.0)),
             ),
         )
-        res = run_dpcrowd(cfg)
+        res = run_experiment(cfg)
         for led in res.ledgers:
             spent = math.fsum(e for _, e in led.spends[0])
             worst = max(worst, spent / cfg.epsilon)
@@ -218,7 +211,7 @@ def test_criterion_02_every_window_budget_never_exceeded():
                 max_fraction=float(rng.uniform(0.2, 1.0)),
             ),
         )
-        res = run_dpcrowd_plus(cfg)
+        res = run_experiment(cfg)
         for led in res.ledgers:
             for k in range(led.dims):
                 stamps = [ts for ts, _ in led.spends[k]]
@@ -243,7 +236,7 @@ def test_criterion_03_single_node_matches_reference_filter():
         net=NetConfig(m=1, rho=1.0),
         sampling=SamplingConfig(mode="fixed", interval=1),
     )
-    res = run_nonprivate(cfg)
+    res = run_experiment(cfg)
     zs = res.observations[0, :, 0]
     h, q, r = 1.0, 1e5, effective_variance(1.0, math.inf, 1.0, 1e5)
 
@@ -272,7 +265,7 @@ def test_criterion_04_tracked_variance_matches_closed_form():
         net=NetConfig(m=1, rho=1.0),
         sampling=SamplingConfig(mode="fixed", interval=1, max_fraction=1.0),
     )
-    res = run_dpcrowd(cfg)
+    res = run_experiment(cfg)
     assert res.sampled.all(), "every step must spend and fuse"
     h, q = 1.0, 1e5
     r = effective_variance(h, cfg.epsilon / cfg.timestamps, 1.0, q)
@@ -341,7 +334,7 @@ def test_criterion_09_communication_accounting(linear_grid):
         algorithm="dpcrowd", seed=11, timestamps=1000, users=100000, epsilon=0.1,
         net=NetConfig(m=50, rho=0.3, seed=987),
     )
-    res = run_dpcrowd(cfg)
+    res = run_experiment(cfg)
     topo = TopologySchedule(m=50, density=0.3, seed=987, dynamic=False)
     deg = degrees(topo.adjacency_at(1))
     expected = [int(deg[res.broadcast[:, t]].sum()) for t in range(cfg.timestamps)]
@@ -354,8 +347,8 @@ def test_criterion_09_communication_accounting(linear_grid):
     flood_ok = True
     for rho in (0.1, 0.5, 0.9):
         for seed in SEEDS[:3]:
-            flood = run_dfast(_linear_cfg("dfast", seed, 0.1, rho)).stats.packets
-            onehop = run_dpcrowd(_linear_cfg("dpcrowd", seed, 0.1, rho)).stats.packets
+            flood = run_experiment(_linear_cfg("dfast", seed, 0.1, rho)).stats.packets
+            onehop = run_experiment(_linear_cfg("dpcrowd", seed, 0.1, rho)).stats.packets
             flood_ok = flood_ok and flood > onehop
 
     _verdict(9, "packets equal broadcaster degree sums; caps and flood ordering hold",
@@ -386,7 +379,7 @@ def test_criterion_12_reports_are_byte_identical(tmp_path):
     )
     pairs = []
     for tag in ("first", "second"):
-        res = run_dpcrowd(cfg)
+        res = run_experiment(cfg)
         csv_path = tmp_path / f"{tag}.csv"
         trace_path = tmp_path / f"{tag}_trace.csv"
         json_path = tmp_path / f"{tag}.json"

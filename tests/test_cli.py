@@ -122,6 +122,19 @@ def test_validate_rejects_zero_window(tmp_path, capsys):
     assert "w >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, expected", [
+    ("timestamps = yes", "expected an integer"),
+    ("net.m = on", "expected an integer"),
+    ("epsilon = true", "expected a number"),
+])
+def test_boolean_word_for_numeric_key_is_diagnosed(tmp_path, capsys, line, expected):
+    cfg = _write_cfg(tmp_path, BASE_CFG + line + "\n")
+    out = tmp_path / "r.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert expected in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_is_diagnosed(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 2
     assert "error" in capsys.readouterr().err

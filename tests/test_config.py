@@ -118,3 +118,20 @@ def test_apply_override_returns_validated_copy():
 def test_apply_override_nested_key():
     swept = apply_override(ExperimentConfig(), "net.rho", "0.9")
     assert swept.net.rho == 0.9
+
+
+@pytest.mark.parametrize("key, word", [
+    ("timestamps", "yes"), ("net.m", "on"), ("epsilon", "true"), ("net.rho", "off"),
+    ("pid.ti", "false"), ("model.a", "no"),
+])
+def test_boolean_word_rejected_for_numeric_key(key, word):
+    with pytest.raises(ConfigError, match="expected an? (integer|number)"):
+        config_from_mapping({"algorithm": "fast", key: word})
+
+
+def test_boolean_words_parse_only_for_bool_keys():
+    cfg = config_from_mapping({"algorithm": "fast", "net.dynamic": "on",
+                               "grouping.enabled": "no", "data.path": "on"})
+    assert cfg.net.dynamic is True
+    assert cfg.grouping.enabled is False
+    assert cfg.data.path == "on"

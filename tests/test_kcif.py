@@ -1,12 +1,15 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freeze_golden_grid import BASE, VARIANTS
+
 from dpcrowd import runners
-from dpcrowd.config import ExperimentConfig, ModelConfig, NetConfig
+from dpcrowd.config import ExperimentConfig, ModelConfig, NetConfig, config_from_mapping
 from dpcrowd.datasets import build_transition
 from dpcrowd.kcif import (
     UNINFORMED_VARIANCE_SCALE,
@@ -17,6 +20,7 @@ from dpcrowd.kcif import (
     update_from_delta,
 )
 from dpcrowd.netsim import TopologySchedule, flood_reachability
+from dpcrowd.privacy import allocate_adaptive
 
 
 # -------------------------------------------------------- effective variance
@@ -289,3 +293,42 @@ def test_empty_server_observes_zero(monkeypatch):
     _, result = _run_fixed_partition(monkeypatch, "nonprivate")
     assert np.all(result.observations[SIZES == 0] == 0.0)
     assert np.all(result.observations[SIZES > 0] != 0.0)
+
+
+# ------------------------------- dpcrowd_plus grants against the ledger history
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("variant", ["default", "grouping_off", "eps0.1_w5", "w1"])
+def test_plus_grants_replay_from_ledger_history(d, variant, monkeypatch):
+    # Each dpcrowd_plus spend (t, e) must be the adaptive grant recomputed from
+    # the spends before it: the window budget left over [t - w + 1, t - 1] and
+    # the interval since the previous spend (sampling.interval for the first).
+    # With no refusal, a schedule fires exactly at the previous spend plus its
+    # interval, so the interval is the gap between spends.
+    refusals = []
+    note_skipped = runners.SamplingSchedule.note_skipped
+
+    def refusing(self, t):
+        refusals.append(t)
+        note_skipped(self, t)
+
+    monkeypatch.setattr(runners.SamplingSchedule, "note_skipped", refusing)
+    cfg = config_from_mapping(
+        {**BASE, "algorithm": "dpcrowd_plus", "model.d": str(d), **VARIANTS[variant]}
+    )
+    result = runners.run_experiment(cfg)
+    assert refusals == []
+    eps_max = cfg.epsilon * cfg.eps_max_fraction
+    checked = 0
+    for ledger in result.ledgers:
+        for spends in ledger.spends:
+            assert spends
+            for j, (t, e) in enumerate(spends):
+                interval = t - spends[j - 1][0] if j else cfg.sampling.interval
+                spent = math.fsum(e0 for t0, e0 in spends[:j] if t0 >= t - cfg.w + 1)
+                expected = allocate_adaptive(
+                    cfg.epsilon - spent, interval, cfg.mu, cfg.p_max, eps_max
+                )
+                assert e.hex() == expected.hex(), (t, e, expected)
+                checked += 1
+    assert checked == int(result.sampled.sum())

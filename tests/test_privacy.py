@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -74,23 +75,25 @@ def test_perturb_rejects_nonpositive_budget():
 # ---------------------------------------------------------------- ledgers
 
 def test_user_level_rejects_overspend():
-    led = PrivacyLedger("user", 1.0)
+    # user-level privacy: a window covering every charged timestamp
+    led = PrivacyLedger(1.0, w=10)
     led.charge(0, 1, 0.4)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError) as err:
         led.charge(0, 2, 0.7)
+    assert err.value.window == (-7, 2)
     # rejection left no trace
-    assert led.total_spent(0) == 0.4
+    assert led.spends == [[(1, 0.4)]]
 
 
 def test_w_event_accepts_spaced_charges():
-    led = PrivacyLedger("w_event", 1.0, w=3)
+    led = PrivacyLedger(1.0, w=3)
     for t, eps in [(1, 0.5), (2, 0.5), (3, 0.0), (4, 0.5)]:
         led.charge(0, t, eps)
     led.audit()
 
 
 def test_w_event_rejects_tight_window():
-    led = PrivacyLedger("w_event", 1.0, w=2)
+    led = PrivacyLedger(1.0, w=2)
     led.charge(0, 1, 0.6)
     with pytest.raises(BudgetError) as err:
         led.charge(0, 2, 0.6)
@@ -99,7 +102,7 @@ def test_w_event_rejects_tight_window():
 
 
 def test_w_event_per_dimension_budgets():
-    led = PrivacyLedger("w_event", 1.0, dims=2, w=2)
+    led = PrivacyLedger(1.0, dims=2, w=2)
     led.charge(0, 1, 0.9)
     led.charge(1, 1, 0.9)  # other dimension has its own window
     with pytest.raises(BudgetError):
@@ -107,7 +110,7 @@ def test_w_event_per_dimension_budgets():
 
 
 def test_remaining_window_user_mode():
-    led = PrivacyLedger("user", 1.0)
+    led = PrivacyLedger(1.0, w=5)
     led.charge(0, 1, 0.25)
     assert led.remaining_window(0, 5) == pytest.approx(0.75)
 
@@ -137,7 +140,7 @@ def test_ledger_never_exceeds_budget(charges, w):
     # feed an arbitrary charge sequence; whatever the ledger accepts must
     # pass an independent brute-force scan of every window
     epsilon = 1.0
-    led = PrivacyLedger("w_event", epsilon, w=w)
+    led = PrivacyLedger(epsilon, w=w)
     accepted = []
     for t, eps in sorted(charges):
         try:
@@ -152,7 +155,7 @@ def test_ledger_never_exceeds_budget(charges, w):
 @given(st.lists(st.floats(0.0, 0.4), min_size=1, max_size=20))
 @settings(max_examples=100, deadline=None)
 def test_user_ledger_total_bounded(epsilons):
-    led = PrivacyLedger("user", 1.0)
+    led = PrivacyLedger(1.0, w=len(epsilons))
     accepted = []
     for t, eps in enumerate(epsilons, start=1):
         try:
@@ -161,6 +164,41 @@ def test_user_ledger_total_bounded(epsilons):
         except BudgetError:
             pass
     assert math.fsum(accepted) <= 1.0
+    led.audit()
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(0, 20),
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.floats(0.0, 0.6)),
+        min_size=1,
+        max_size=60,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_whole_run_window_matches_user_level_rule(dims, slack, steps):
+    # steps are (dim, time increment, eps) with non-decreasing timestamps. A
+    # window covering every charged timestamp grants exactly what the
+    # whole-stream rule fsum(accepted) + eps <= epsilon grants.
+    epsilon = 1.0
+    stamps = list(itertools.accumulate((step for _, step, _ in steps), initial=1))[1:]
+    w = stamps[-1] + slack
+    led = PrivacyLedger(epsilon, dims=dims, w=w)
+    accepted = [[] for _ in range(dims)]
+    for (dim, _, eps), t in zip(steps, stamps):
+        dim %= dims
+        fits = math.fsum(accepted[dim] + [eps]) <= epsilon
+        try:
+            led.charge(dim, t, eps)
+            granted = True
+        except BudgetError as err:
+            assert err.window == (t - w + 1, t)
+            granted = False
+        assert granted == fits
+        if granted:
+            accepted[dim].append(eps)
+    assert [[e for _, e in spends] for spends in led.spends] == accepted
     led.audit()
 
 
@@ -178,7 +216,7 @@ def test_windowed_charge_matches_every_window_rule(dims, w, steps):
     # steps are (dim, time increment, eps): timestamps never decrease and may
     # repeat. The old rule checked every window ending in [t, t + w - 1].
     epsilon = 1.0
-    led = PrivacyLedger("w_event", epsilon, dims=dims, w=w)
+    led = PrivacyLedger(epsilon, dims=dims, w=w)
     accepted = [[] for _ in range(dims)]
     t = 1
     for dim, step, eps in steps:
@@ -203,9 +241,9 @@ def test_windowed_charge_matches_every_window_rule(dims, w, steps):
     led.audit()
 
 
-@pytest.mark.parametrize("mode", ["user", "w_event"])
-def test_out_of_order_charge_is_refused(mode):
-    led = PrivacyLedger(mode, 1.0, dims=2, w=3)
+@pytest.mark.parametrize("w", [pytest.param(5, id="user"), pytest.param(3, id="w_event")])
+def test_out_of_order_charge_is_refused(w):
+    led = PrivacyLedger(1.0, dims=2, w=w)
     led.charge(0, 5, 0.1)
     led.charge(0, 5, 0.1)  # a repeated timestamp is in order
     led.charge(1, 2, 0.1)
@@ -216,7 +254,7 @@ def test_out_of_order_charge_is_refused(mode):
 
 
 @given(
-    st.integers(1, 8),
+    st.integers(1, 35),
     st.lists(
         st.lists(st.tuples(st.integers(1, 30), st.floats(0.0, 0.6)), max_size=25),
         min_size=1,
@@ -226,7 +264,7 @@ def test_out_of_order_charge_is_refused(mode):
 @settings(max_examples=300, deadline=None)
 def test_audit_matches_brute_force_on_injected_spends(w, per_dim):
     # spends written straight into the ledger: unsorted, possibly over budget
-    led = PrivacyLedger("w_event", 1.0, dims=len(per_dim), w=w)
+    led = PrivacyLedger(1.0, dims=len(per_dim), w=w)
     led.spends = [list(spends) for spends in per_dim]
     ok = all(_brute_force_ok(spends, 1.0, w) for spends in per_dim)
     if ok:
@@ -245,25 +283,25 @@ def test_allocate_uniform_values():
 
 
 def test_allocate_adaptive_log_rule():
-    led = PrivacyLedger("w_event", 1.0, w=10)
+    led = PrivacyLedger(1.0, w=10)
     got = allocate_adaptive(led.remaining_window(0, 1), 1, mu=0.5, p_max=0.6, eps_max=0.5)
     assert got == pytest.approx(0.5 * math.log(2.0))  # ~0.3466
 
 
 def test_allocate_adaptive_exhausted_window():
-    led = PrivacyLedger("w_event", 1.0, w=3)
+    led = PrivacyLedger(1.0, w=3)
     led.charge(0, 1, 1.0)
     assert allocate_adaptive(led.remaining_window(0, 2), 1, mu=0.5, p_max=0.6, eps_max=0.5) == 0.0
 
 
 def test_allocate_adaptive_caps_bind():
-    led = PrivacyLedger("w_event", 1.0, w=10)
+    led = PrivacyLedger(1.0, w=10)
     assert allocate_adaptive(led.remaining_window(0, 1), 10**6, mu=0.5, p_max=0.6, eps_max=0.5) == 0.5
 
 
 def test_allocate_adaptive_never_violates_ledger():
     # grant-then-charge in a loop can never raise
-    led = PrivacyLedger("w_event", 1.0, w=4)
+    led = PrivacyLedger(1.0, w=4)
     for t in range(1, 60):
         eps_t = allocate_adaptive(led.remaining_window(0, t), 1 + t % 3, mu=0.5, p_max=0.6, eps_max=0.5)
         if eps_t > 0:
