@@ -8,10 +8,9 @@ integer, a number, comma-separated numbers, or text kept as written.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
-
-import numpy as np
 
 __all__ = [
     "ConfigError",
@@ -125,6 +124,11 @@ class ExperimentConfig:
     kcif: KcifConfig = field(default_factory=KcifConfig)
 
     def validate(self) -> None:
+        # NaN fails every comparison below and inf passes most, so refuse
+        # both before any range check
+        for key, value in _float_entries(self):
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be a finite number, got {value!r}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         if self.timestamps < 1:
@@ -151,8 +155,8 @@ class ExperimentConfig:
             raise ConfigError("dpcrowd runs one-dimensional streams; use dpcrowd_plus for d > 1")
         if len(self.model.q) not in (1, self.model.d):
             raise ConfigError("model.q must be scalar or one value per dimension")
-        if any(q < 0 or not np.isfinite(q) for q in self.model.q):
-            raise ConfigError("model.q entries must be finite and non-negative")
+        if any(q < 0 for q in self.model.q):
+            raise ConfigError("model.q entries must be non-negative")
         if self.data.source not in ("synthetic", "csv"):
             raise ConfigError("data.source must be 'synthetic' or 'csv'")
         if self.data.source == "csv" and not self.data.path:
@@ -203,6 +207,20 @@ _SECTIONS = {
     "grouping": GroupingConfig,
     "kcif": KcifConfig,
 }
+
+
+def _float_entries(cfg: ExperimentConfig):
+    """(dotted key, value) for every set float field, one per tuple entry."""
+    sections = [("", cfg)] + [(f"{name}.", getattr(cfg, name)) for name in _SECTIONS]
+    for prefix, obj in sections:
+        for name, target in _field_types(type(obj)).items():
+            value = getattr(obj, name)
+            if target is float and value is not None:
+                yield prefix + name, value
+            elif target is tuple:
+                for entry in value:
+                    yield prefix + name, entry
+
 
 def _parse_value(raw: str, target_type):
     raw = raw.strip()

@@ -78,8 +78,9 @@ def predict_region(history, window: int) -> np.ndarray:
         raise ValueError("window must be >= 1")
     recent = _front_padded(np.asarray(history, dtype=float), window)
     # numpy sums pairwise only along the contiguous axis, so each column is
-    # laid out contiguously to sum in the same order as a 1-D mean
-    return np.ascontiguousarray(recent.T).mean(axis=1)
+    # laid out contiguously to sum in the same order as a 1-D mean; .mean is
+    # this sum divided by the count, without its Python-level wrapper
+    return np.add.reduce(np.ascontiguousarray(recent.T), axis=1) / window
 
 
 def group_regions(
@@ -98,19 +99,22 @@ def group_regions(
     """
     dims = [int(k) for k in sampled]
     predictions = np.asarray(predictions, dtype=float)
+    forecasts = predictions.tolist()
+    small = [j for j, p in enumerate(forecasts) if not p >= thresholds.large_value]
+    # No two small forecasts within value_gap means no merge at all: sorted,
+    # fl(p[j+2] - p[j]) >= fl(p[j+1] - p[j]) since rounding is monotone, so
+    # adjacent gaps suffice. NaN forecasts never merge and sit out the check;
+    # a gap that is NaN (equal infinities) fails it.
+    ordered = sorted(forecasts[j] for j in small if not math.isnan(forecasts[j]))
+    if all(b - a > thresholds.value_gap for a, b in zip(ordered, ordered[1:])):
+        return GroupPartition(groups=tuple(sorted((k,) for k in dims)))
     padded = _front_padded(np.asarray(history, dtype=float), thresholds.history_window)
     lo = padded.min(axis=0)
     span = padded.max(axis=0) - lo
     # one C-contiguous row per column, so each row mean sums in the order of
     # a 1-D mean; a constant column normalizes to zeros
     trends = np.ascontiguousarray(((padded - lo) / np.where(span > 0, span, 1.0)).T)
-    groups: list[tuple[int, ...]] = []
-    small: list[int] = []
-    for j, k in enumerate(dims):
-        if predictions[j] >= thresholds.large_value:
-            groups.append((k,))
-        else:
-            small.append(j)
+    groups = [(dims[j],) for j, p in enumerate(forecasts) if p >= thresholds.large_value]
     remaining = sorted(small, key=lambda j: (predictions[j], dims[j]))
     while remaining:
         seed, rest = remaining[0], remaining[1:]
@@ -138,8 +142,6 @@ def perturb_groups(
     """
     if sensitivity <= 0:
         raise ValueError("sensitivity must be positive")
-    values = np.asarray(values, dtype=float)
-    budgets = np.asarray(budgets, dtype=float)
     released: dict[int, float] = {}
     for group in partition.groups:
         eps_min = min(float(budgets[k]) for k in group)

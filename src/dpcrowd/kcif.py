@@ -24,23 +24,20 @@ __all__ = [
 UNINFORMED_VARIANCE_SCALE = 1e6
 
 
-def effective_variance(coefficient, eps_t, sensitivity, process_var, alpha: float = 1.0):
+def effective_variance(sensing_var, eps_t, sensitivity, *, alpha: float = 1.0):
     """Combined variance of perturbation plus sensing noise on one aggregate.
 
-    R_hat = alpha * (2 * (sensitivity / eps_t)^2 + coefficient^2 * process_var).
-    Passing eps_t = inf drops the perturbation term (the non-private path).
+    R_hat = alpha * (2 * (sensitivity / eps_t)^2 + sensing_var), where
+    sensing_var = coefficient^2 * process_var stays fixed while the user
+    partition does. Passing eps_t = inf drops the perturbation term (the
+    non-private path): a finite positive sensitivity over inf is +0.0.
     """
-    coefficient = np.asarray(coefficient, dtype=float)
-    eps_t = np.asarray(eps_t, dtype=float)
-    process_var = np.asarray(process_var, dtype=float)
     if np.any(eps_t <= 0):
         raise ValueError("per-release budget must be positive (inf for non-private)")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     scale = sensitivity / eps_t
-    perturb_var = np.where(np.isinf(eps_t), 0.0, 2.0 * scale * scale)
-    out = alpha * (perturb_var + coefficient * coefficient * process_var)
-    return out if out.ndim else float(out)
+    return alpha * (2.0 * scale * scale + sensing_var)
 
 
 def prediction_gain(transition: np.ndarray) -> np.ndarray:
@@ -53,33 +50,29 @@ def prediction_gain(transition: np.ndarray) -> np.ndarray:
     return g * g
 
 
-def predict(posterior, posterior_var, transition, process_var):
-    """Time update: propagate the posterior one step forward."""
-    posterior = np.asarray(posterior, dtype=float)
-    prior = posterior @ np.asarray(transition, dtype=float).T
-    prior_var = prediction_gain(transition) * np.asarray(posterior_var, dtype=float) + process_var
-    return prior, prior_var
+def predict(posterior, posterior_var, transition_t, gain, process_var):
+    """Time update: propagate the posterior one step forward.
+
+    transition_t is the transition's transpose and gain its prediction_gain,
+    both fixed for a run.
+    """
+    return posterior @ transition_t, gain * posterior_var + process_var
 
 
-def initialize(released, coefficient, rhat, transition, process_var):
+def initialize(released, coefficient, rhat, transition_t, gain, process_var):
     """First-timestamp prior from the first released observation.
 
     prior = released / coefficient with initial weight coefficient^2 / rhat;
     a server with no users starts at 0 with an uninformative variance.
+    transition_t and gain are as in predict.
     """
-    released = np.asarray(released, dtype=float)
-    rhat = np.asarray(rhat, dtype=float)
-    process_var = np.asarray(process_var, dtype=float)
-    coefficient = np.asarray(coefficient, dtype=float)
     safe = np.where(coefficient > 0, coefficient, 1.0)
     estimate = np.where(coefficient > 0, released / safe, 0.0)
     fallback = np.where(
         process_var > 0, UNINFORMED_VARIANCE_SCALE * process_var, UNINFORMED_VARIANCE_SCALE
     )
     m0 = np.where(coefficient > 0, coefficient * coefficient / rhat, fallback)
-    prior_var = prediction_gain(transition) * m0 + process_var
-    prior = estimate @ np.asarray(transition, dtype=float).T
-    return prior, prior_var
+    return estimate @ transition_t, gain * m0 + process_var
 
 
 def update_from_delta(prior, prior_var, fused_value, fused_weight, prior_delta, consensus_step):
@@ -87,14 +80,7 @@ def update_from_delta(prior, prior_var, fused_value, fused_weight, prior_delta, 
 
     prior_delta = sum over broadcasting neighbors j of (prior_j - prior_own).
     """
-    prior = np.asarray(prior, dtype=float)
-    prior_var = np.asarray(prior_var, dtype=float)
-    fused_weight = np.asarray(fused_weight, dtype=float)
     posterior_var = 1.0 / (1.0 / prior_var + fused_weight)
     gain = consensus_step * prior_var / (np.abs(prior_var) + 1.0)
-    posterior = (
-        prior
-        + posterior_var * (np.asarray(fused_value, dtype=float) - fused_weight * prior)
-        + gain * np.asarray(prior_delta, dtype=float)
-    )
+    posterior = prior + posterior_var * (fused_value - fused_weight * prior) + gain * prior_delta
     return posterior, posterior_var

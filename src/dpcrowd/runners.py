@@ -154,16 +154,38 @@ def _check_consensus_stability(adj: np.ndarray, beta: float) -> None:
         )
 
 
+def _coefficients(sizes: np.ndarray, users: int, q_row: np.ndarray, q_sd: np.ndarray):
+    """Per-partition constants: the observation coefficients as a column, their
+    squares, the sensing variance coefficient^2 * q and the noise scale."""
+    coeff = sizes / float(users)
+    coeff_col = coeff[:, None]
+    coeff_sq_col = (coeff * coeff)[:, None]
+    return coeff_col, coeff_sq_col, coeff_sq_col * q_row, coeff_col * q_sd
+
+
 def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     d = cfg.model.d
     m = cfg.net.m
     timestamps = cfg.timestamps
     sensitivity = cfg.sensitivity_c
     private = policy.private
-    grouping = policy.adaptive and cfg.grouping.enabled
+    adaptive = policy.adaptive
+    grouping = adaptive and cfg.grouping.enabled
+    frozen = cfg.model.freeze_partition
+    fixed_sampling = cfg.sampling.mode == "fixed"
+    epsilon, mu, p_max = cfg.epsilon, cfg.mu, cfg.p_max
+    pid_delta, theta, xi = cfg.pid.delta, cfg.pid.theta, cfg.pid.xi
+    alpha, beta = cfg.kcif.alpha, cfg.kcif.beta
+    variance_floor, stale_self = cfg.kcif.variance_floor, cfg.kcif.fuse_stale_self
+    latency_center = cfg.net.latency_ms_center
     process = _build_process(cfg)
     transition = process.transition
     q_diag = process.noise_var
+    # run constants of the time update
+    transition_t = transition.T
+    gain = kcif.prediction_gain(transition)
+    q_row = q_diag[None, :]
+    q_sd = np.sqrt(q_diag)[None, :]
 
     master = np.random.SeedSequence(cfg.seed)
     data_key, partition_key, latency_key, topology_key, *server_keys = master.spawn(4 + m)
@@ -179,17 +201,29 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     topo = TopologySchedule(m=m, density=cfg.net.rho, seed=topo_seed, dynamic=cfg.net.dynamic)
 
     sizes = partition_users(cfg.users, m, partition_rng)
-    coeff = sizes / float(cfg.users)
+    coeff_col, coeff_sq_col, sensing, noise_scale = _coefficients(sizes, cfg.users, q_row, q_sd)
 
     # Per-server observation-noise draws come off that server's own stream,
-    # pre-drawn as standard normals and scaled per timestamp.
+    # pre-drawn as standard normals and scaled per timestamp. With a frozen
+    # partition the buffer is turned into the raw aggregates of the whole run
+    # in place: x = coeff * truth + noise_scale * noise, as the per-timestamp
+    # sum forms it (both operations commute exactly).
     obs_noise = np.stack([rng.standard_normal((timestamps, d)) for rng in server_rngs])
+    if frozen:
+        for i, x in enumerate(obs_noise):
+            x *= noise_scale[i]
+            x += coeff_col[i] * truth
 
     ledgers: list[PrivacyLedger] | None = None
     if private:
         ledger_w = cfg.w if policy.w_event else timestamps
-        ledgers = [PrivacyLedger(cfg.epsilon, dims=d, w=ledger_w) for _ in range(m)]
-    eps_max = cfg.epsilon * cfg.eps_max_fraction
+        ledgers = [PrivacyLedger(epsilon, dims=d, w=ledger_w) for _ in range(m)]
+    else:
+        # a non-private run observes every pair every timestamp; inf drops the
+        # perturbation term from R_hat
+        sampled = np.ones((m, d), dtype=bool)
+        eps_used = np.full((m, d), np.inf)
+    eps_max = epsilon * cfg.eps_max_fraction
     thresholds = _grouping_thresholds(cfg) if grouping else None
     tau = cfg.grouping.tau
 
@@ -200,15 +234,19 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     releases = np.empty((m, timestamps, d))
     observations = np.empty((m, timestamps, d))
     posterior_var_trace = np.empty((m, timestamps, d))
-    broadcast_trace = np.zeros((m, timestamps), dtype=bool)
     sampled_trace = np.zeros((m, timestamps, d), dtype=bool)
-    stats = CommStats(broadcasts=np.zeros(m, dtype=np.int64))
+    # a flooding run broadcasts from every server every timestamp; a one-hop
+    # run records its broadcasters as it goes
+    broadcast_trace = np.full((m, timestamps), policy.flood)
+    stats = CommStats(broadcasts=np.full(m, timestamps if policy.flood else 0, dtype=np.int64))
+    message_bytes = message_num_bytes(d)
+    payload_bytes = flood_payload_bytes(d)
+    no_delta = np.zeros((m, d))
 
     adj_needed = (policy.communicate or policy.flood) and m > 1
     # per-adjacency work runs once per adjacency array: once a run on a
     # static topology, once a timestamp on a dynamic one
     checked_adj = flood_adj = None
-    noise_scale = coeff[:, None] * np.sqrt(q_diag)[None, :]
 
     for tidx in range(timestamps):
         t = tidx + 1
@@ -219,12 +257,12 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
             # adaptive allocation runs in infinite-stream mode with no cap.
             if private:
                 cap = None
-                if not policy.adaptive:
+                if not adaptive:
                     cap = _planned_samples(
                         cfg.sampling.mode, min(block_len, timestamps - tidx),
                         cfg.sampling.interval, cfg.sampling.max_fraction,
                     )
-                    eps_uniform = allocate_uniform(cfg.epsilon, cap)
+                    eps_uniform = allocate_uniform(epsilon, cap)
                 schedules = [
                     [
                         SamplingSchedule(
@@ -250,53 +288,54 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
             posterior = np.zeros((m, d))
             posterior_var = np.tile(uninformed, (m, 1))
             initialized = np.zeros((m, d), dtype=bool)
+            all_initialized = False
             last_rhat = np.full((m, d), np.inf)
 
         adj = topo.adjacency_at(t) if adj_needed else None
         if policy.communicate and adj is not None and adj is not checked_adj:
-            _check_consensus_stability(adj, cfg.kcif.beta)
+            _check_consensus_stability(adj, beta)
             link = adj.astype(float)
             degree = degrees(adj)
             checked_adj = adj
-        if not cfg.model.freeze_partition:
-            sizes = partition_users(cfg.users, m, partition_rng)
-            coeff = sizes / float(cfg.users)
-            noise_scale = coeff[:, None] * np.sqrt(q_diag)[None, :]
-
         # Raw aggregates: consumed by the perturbation/selection block below
         # and by nothing else in private modes.
-        x_raw = coeff[:, None] * truth[tidx][None, :] + noise_scale * obs_noise[:, tidx, :]
+        if frozen:
+            x_raw = obs_noise[:, tidx, :]
+        else:
+            sizes = partition_users(cfg.users, m, partition_rng)
+            coeff_col, coeff_sq_col, sensing, noise_scale = _coefficients(
+                sizes, cfg.users, q_row, q_sd
+            )
+            x_raw = coeff_col * truth[tidx] + noise_scale * obs_noise[:, tidx, :]
 
         if not private:
-            sampled = np.ones((m, d), dtype=bool)
-            # inf drops the perturbation term from R_hat
-            eps_used = np.full((m, d), np.inf)
             z = x_raw
         else:
             grants = np.zeros((m, d))
             # An unsampled dimension repeats the server's previous release.
             z = releases[:, tidx - 1, :].copy() if tidx else np.zeros((m, d))
-            eps_left_after = np.zeros((m, d))
+            eps_left_after: dict[tuple[int, int], float] = {}
             # sorted, so each server's due dimensions come in ascending order
             due_by_server: dict[int, list[int]] = {}
             for i, k in sorted(calendar.pop(t, ())):
                 if schedules[i][k].is_sampling_point(t):  # False once a cap is used up
                     due_by_server.setdefault(i, []).append(k)
+            granted_by_server: dict[int, list[int]] = {}
             for i, due in due_by_server.items():
+                ledger, schedule_row = ledgers[i], schedules[i]
+                grant_row = [0.0] * d
                 granted: list[int] = []
                 for k in due:
-                    schedule = schedules[i][k]
-                    if policy.adaptive:
-                        before = ledgers[i].remaining_window(k, t)
-                        grant = allocate_adaptive(
-                            before, schedule.interval, cfg.mu, cfg.p_max, eps_max,
-                        )
+                    schedule = schedule_row[k]
+                    if adaptive:
+                        before = ledger.remaining_window(k, t)
+                        grant = allocate_adaptive(before, schedule.interval, mu, p_max, eps_max)
                     else:
                         grant = eps_uniform
                         before = math.inf
                     if grant > 0.0:
                         try:
-                            ledgers[i].charge(k, t, grant)
+                            ledger.charge(k, t, grant)
                         except BudgetError:
                             grant = 0.0
                     if grant <= 0.0:
@@ -304,10 +343,13 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                         calendar.setdefault(schedule.next_sample_t, []).append((i, k))
                         continue
                     granted.append(k)
-                    grants[i, k] = grant
-                    eps_left_after[i, k] = max(0.0, min(before, cfg.epsilon) - grant)
+                    grant_row[k] = grant
+                    eps_left_after[i, k] = max(0.0, min(before, epsilon) - grant)
                 if not granted:
                     continue
+                granted_by_server[i] = granted
+                grants[i] = grant_row
+                x_row, z_row, rng = x_raw[i].tolist(), z[i], server_rngs[i]
                 if grouping and len(granted) > 1:
                     # forecasts and trends read only the last tau releases of
                     # the granted columns; a lone grant is a group of its own,
@@ -315,48 +357,42 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                     recent = releases[i, max(0, tidx - tau):tidx][:, granted]
                     predictions = predict_region(recent, tau)
                     partition = group_regions(granted, predictions, recent, thresholds)
-                    shares = perturb_groups(
-                        partition, x_raw[i], grants[i], sensitivity, server_rngs[i]
-                    )
-                    for k, value in sorted(shares.items()):
-                        z[i, k] = value
+                    shares = perturb_groups(partition, x_row, grant_row, sensitivity, rng)
+                    for k, value in shares.items():
+                        z_row[k] = value
                 else:
                     for k in granted:
-                        z[i, k] = perturb_count(
-                            x_raw[i, k], sensitivity, grants[i, k], server_rngs[i]
-                        )
+                        z_row[k] = perturb_count(x_row[k], sensitivity, grant_row[k], rng)
             # every grant is positive; eps_used stays inf wherever no noise
             # was added, which drops the perturbation term from R_hat
             sampled = grants > 0.0
             eps_used = np.where(sampled, grants, np.inf)
 
-        rhat = kcif.effective_variance(
-            coeff[:, None], eps_used, sensitivity, q_diag[None, :], cfg.kcif.alpha
-        )
-        rhat = np.maximum(rhat, cfg.kcif.variance_floor)
+        rhat = kcif.effective_variance(sensing, eps_used, sensitivity, alpha=alpha)
+        rhat = np.maximum(rhat, variance_floor)
 
-        prior, prior_var = kcif.predict(posterior, posterior_var, transition, q_diag)
-        init_mask = sampled & ~initialized
-        if init_mask.any():
-            init_prior, init_var = kcif.initialize(
-                z, coeff[:, None], rhat, transition, q_diag
-            )
-            prior = np.where(init_mask, init_prior, prior)
-            prior_var = np.where(init_mask, init_var, prior_var)
-            initialized |= sampled
+        prior, prior_var = kcif.predict(posterior, posterior_var, transition_t, gain, q_diag)
+        if not all_initialized:
+            init_mask = sampled & ~initialized
+            if init_mask.any():
+                init_prior, init_var = kcif.initialize(
+                    z, coeff_col, rhat, transition_t, gain, q_diag
+                )
+                prior = np.where(init_mask, init_prior, prior)
+                prior_var = np.where(init_mask, init_var, prior_var)
+                initialized |= sampled
+                all_initialized = bool(initialized.all())
 
-        u_full = coeff[:, None] * z / rhat
-        w_full = (coeff * coeff)[:, None] / rhat
-        u = np.where(sampled, u_full, 0.0)
-        weight = np.where(sampled, w_full, 0.0)
-        if cfg.kcif.fuse_stale_self:
+        u = np.where(sampled, coeff_col * z / rhat, 0.0)
+        weight = np.where(sampled, coeff_sq_col / rhat, 0.0)
+        if stale_self:
             # Local-only reuse of the stale value at its last effective variance.
             stale = ~sampled & initialized & np.isfinite(last_rhat)
-            stale_u = np.where(stale, coeff[:, None] * z / last_rhat, 0.0)
-            stale_w = np.where(stale, (coeff * coeff)[:, None] / last_rhat, 0.0)
+            stale_u = np.where(stale, coeff_col * z / last_rhat, 0.0)
+            stale_w = np.where(stale, coeff_sq_col / last_rhat, 0.0)
+            last_rhat = np.where(sampled, rhat, last_rhat)
         else:
             stale_u = stale_w = 0.0
-        last_rhat = np.where(sampled, rhat, last_rhat)
 
         active = sampled.any(axis=1)
         if policy.communicate and m > 1:
@@ -366,18 +402,18 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
             prior_sum = link @ (prior * active[:, None])
             prior_delta = prior_sum - nbr_count[:, None] * prior
             packets = int(degree[active].sum())
-            latency = _delivery_latency([packets], latency_rng, cfg.net.latency_ms_center)
-            stats.record_round(packets, packets * message_num_bytes(d), latency)
+            latency = _delivery_latency([packets], latency_rng, latency_center)
+            stats.record_round(packets, packets * message_bytes, latency)
             broadcast_trace[:, tidx] = active
         else:
             fused_value = u + stale_u
             fused_weight = weight + stale_w
-            prior_delta = np.zeros((m, d))
+            prior_delta = no_delta
             if not policy.flood:
                 stats.record_round(0, 0, 0.0)
 
         posterior, posterior_var = kcif.update_from_delta(
-            prior, prior_var, fused_value, fused_weight, prior_delta, cfg.kcif.beta
+            prior, prior_var, fused_value, fused_weight, prior_delta, beta
         )
 
         release_t = posterior
@@ -385,22 +421,20 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
             if m > 1:
                 if adj is not flood_adj:
                     known, _, fpackets, rounds = flood_reachability(adj)
-                    counts = known.sum(axis=1).astype(float)
+                    counts = known.sum(axis=1).astype(float)[:, None]
                     # servers holding the same payload set must release bitwise
                     # identical averages, so sum each distinct set once in index
                     # order instead of letting a blocked matmul pick the order
                     uniq, inverse = np.unique(known, axis=0, return_inverse=True)
                     flood_adj = adj
                 sums = np.stack([posterior[row].sum(axis=0) for row in uniq])
-                release_t = sums[inverse] / counts[:, None]
-                latency = _delivery_latency(rounds, latency_rng, cfg.net.latency_ms_center)
-                stats.record_round(fpackets, fpackets * flood_payload_bytes(d), latency)
+                release_t = sums[inverse] / counts
+                latency = _delivery_latency(rounds, latency_rng, latency_center)
+                stats.record_round(fpackets, fpackets * payload_bytes, latency)
             else:
                 stats.record_round(0, 0, 0.0)
-            broadcast_trace[:, tidx] = True
-            stats.broadcasts += 1
         elif policy.communicate:
-            stats.broadcasts += active.astype(np.int64)
+            stats.broadcasts += active
 
         if cfg.kcif.clamp_releases:
             release_t = np.maximum(release_t, 0.0)
@@ -410,24 +444,24 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
         sampled_trace[:, tidx, :] = sampled
 
         if private:
-            prior_rows, posterior_rows = prior.tolist(), posterior.tolist()
-            for i, k in zip(*(index.tolist() for index in np.nonzero(sampled))):
-                schedule = schedules[i][k]
-                if cfg.sampling.mode == "fixed":
-                    schedule.note_sampled(t)
-                else:
-                    err = feedback_error(prior_rows[i][k], posterior_rows[i][k], cfg.pid.delta)
-                    control = pids[i][k].update(err, t)
-                    if policy.adaptive:
-                        interval = next_interval_plus(
-                            schedule.interval, control, eps_left_after[i, k], cfg.pid.theta
-                        )
+            # granted pairs in (server, dimension) order, as np.nonzero(sampled)
+            for i, granted in granted_by_server.items():
+                schedule_row, pid_row = schedules[i], pids[i]
+                for k in granted:
+                    schedule = schedule_row[k]
+                    if fixed_sampling:
+                        schedule.note_sampled(t)
                     else:
-                        interval = next_interval(
-                            schedule.interval, control, cfg.pid.theta, cfg.pid.xi
-                        )
-                    schedule.note_sampled(t, interval)
-                calendar.setdefault(schedule.next_sample_t, []).append((i, k))
+                        err = feedback_error(prior.item(i, k), posterior.item(i, k), pid_delta)
+                        control = pid_row[k].update(err, t)
+                        if adaptive:
+                            interval = next_interval_plus(
+                                schedule.interval, control, eps_left_after[i, k], theta
+                            )
+                        else:
+                            interval = next_interval(schedule.interval, control, theta, xi)
+                        schedule.note_sampled(t, interval)
+                    calendar.setdefault(schedule.next_sample_t, []).append((i, k))
 
     result = RunResult(
         config=cfg,

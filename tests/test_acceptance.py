@@ -238,7 +238,8 @@ def test_criterion_03_single_node_matches_reference_filter():
     )
     res = run_experiment(cfg)
     zs = res.observations[0, :, 0]
-    h, q, r = 1.0, 1e5, effective_variance(1.0, math.inf, 1.0, 1e5)
+    h, q = 1.0, 1e5
+    r = effective_variance(h * h * q, math.inf, 1.0)
 
     # plain scalar filter in gain form, written from the textbook equations;
     # the first observation seeds the prior and is then fused like any other
@@ -268,7 +269,7 @@ def test_criterion_04_tracked_variance_matches_closed_form():
     res = run_experiment(cfg)
     assert res.sampled.all(), "every step must spend and fuse"
     h, q = 1.0, 1e5
-    r = effective_variance(h, cfg.epsilon / cfg.timestamps, 1.0, q)
+    r = effective_variance(h * h * q, cfg.epsilon / cfg.timestamps, 1.0)
     m_prev, ref = h * h / r, []
     for _ in range(cfg.timestamps):
         pp = m_prev + q

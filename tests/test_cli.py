@@ -221,3 +221,17 @@ def test_diverged_run_is_diagnosed(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert "diverged" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lines, key", [
+    ("epsilon = nan\n", "epsilon"),
+    ("epsilon = inf\n", "epsilon"),
+    ("algorithm = dpcrowd_plus\nw = 5\nmu = nan\n", "mu"),
+    ("model.d = 2\nalgorithm = dpcrowd_plus\nw = 5\nmodel.q = 1,nan\n", "model.q"),
+], ids=["epsilon_nan", "epsilon_inf", "mu_nan", "q_entry_nan"])
+def test_non_finite_number_is_diagnosed(tmp_path, capsys, lines, key):
+    cfg = _write_cfg(tmp_path, BASE_CFG + lines)
+    out = tmp_path / "r.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert f"{key} must be a finite number" in capsys.readouterr().err
+    assert not out.exists()

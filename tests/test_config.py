@@ -135,3 +135,19 @@ def test_boolean_words_parse_only_for_bool_keys():
     assert cfg.net.dynamic is True
     assert cfg.grouping.enabled is False
     assert cfg.data.path == "on"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epsilon", "nan"), ("epsilon", "inf"), ("epsilon", "-inf"), ("epsilon", "1e400"),
+    ("mu", "nan"), ("net.rho", "nan"), ("kcif.beta", "inf"), ("grouping.eta1", "inf"),
+    ("model.q", "1,nan"), ("data.initial", "-inf,1"),
+])
+def test_non_finite_number_rejected(key, value):
+    mapping = {"algorithm": "dpcrowd_plus", "w": "5", "model.d": "2", key: value}
+    with pytest.raises(ConfigError, match=rf"^{key} must be a finite number"):
+        config_from_mapping(mapping)
+
+
+def test_non_finite_number_rejected_on_direct_construction():
+    with pytest.raises(ConfigError, match="^epsilon must be a finite number"):
+        ExperimentConfig(epsilon=float("nan")).validate()

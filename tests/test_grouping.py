@@ -265,6 +265,57 @@ def test_group_regions_matches_pairwise_reference(data):
     assert group_regions(dims, predictions, history, thr).groups == want
 
 
+def _spread(draw, start, count, gap):
+    """count ascending floats whose every adjacent difference, as computed in
+    floating point, exceeds gap."""
+    values = [start] if count else []
+    for _ in range(count - 1):
+        nxt = values[-1] + gap + draw(st.floats(0.0, 1e3))
+        while not nxt - values[-1] > gap:
+            nxt = math.nextafter(nxt, math.inf)
+        values.append(nxt)
+    return values
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_group_regions_singletons_when_no_forecasts_are_close(data):
+    # the early exit: no two small forecasts within value_gap, so every
+    # dimension is a group of its own, as the pairwise reference says
+    draw = data.draw
+    tau = draw(st.integers(1, 6), label="tau")
+    rows = draw(st.integers(0, 2 * tau), label="rows")
+    k = draw(st.integers(2, 6), label="k")
+    dims = sorted(draw(st.sets(st.integers(0, 7), min_size=k, max_size=k), label="dims"))
+    gap = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(1e3, 1e300)), label="gap")
+    large = draw(st.one_of(st.floats(1e-3, 1e6), st.just(math.inf)), label="large")
+    start = draw(st.one_of(st.floats(-1e6, 1e6), st.just(-1e308)), label="start")
+    n_small = draw(st.integers(0, k), label="n_small")
+    small = _spread(draw, start, n_small, gap)
+    others = [
+        draw(st.one_of(st.just(math.nan), st.floats(large, 1e308), st.just(math.inf)))
+        if large < math.inf else math.nan
+        for _ in range(k - n_small)
+    ]
+    predictions = np.array(draw(st.permutations(small + others), label="order"))
+    history = np.array(
+        draw(st.lists(st.lists(st.floats(0.0, 1e4), min_size=k, max_size=k),
+                      min_size=rows, max_size=rows)),
+        dtype=float,
+    ).reshape(rows, k)
+    thr = GroupingThresholds(large_value=large, value_gap=gap, trend_gap=1.0,
+                             history_window=tau)
+
+    full_predictions = np.full(8, np.nan)
+    full_predictions[dims] = predictions
+    full_histories = [[] for _ in range(8)]
+    for j, dim in enumerate(dims):
+        full_histories[dim] = history[:, j]
+    want = _reference_groups(dims, full_predictions, full_histories, thr)
+    assert want == tuple((dim,) for dim in dims)
+    assert group_regions(dims, predictions, history, thr).groups == want
+
+
 def test_partition_type_rejects_overlap():
     with pytest.raises(ValueError):
         GroupPartition(groups=((0, 1), (1, 2)))

@@ -23,47 +23,106 @@ from dpcrowd.netsim import TopologySchedule, flood_reachability
 from dpcrowd.privacy import allocate_adaptive
 
 
+def _predict(posterior, posterior_var, transition, process_var):
+    return predict(posterior, posterior_var, transition.T, prediction_gain(transition),
+                   process_var)
+
+
+def _initialize(released, coefficient, rhat, transition, process_var):
+    return initialize(released, coefficient, rhat, transition.T, prediction_gain(transition),
+                      process_var)
+
+
 # -------------------------------------------------------- effective variance
 
 def test_effective_variance_nonprivate():
     # inf budget drops the perturbation term: 0.5^2 * 4 = 1
-    assert effective_variance(0.5, np.inf, 1.0, 4.0) == 1.0
+    assert effective_variance(0.5 * 0.5 * 4.0, np.inf, 1.0) == 1.0
 
 
 def test_effective_variance_pure_noise_observer():
-    assert effective_variance(0.0, 1.0, 1.0, 123.0) == 2.0
+    assert effective_variance(0.0 * 0.0 * 123.0, 1.0, 1.0) == 2.0
 
 
 def test_effective_variance_hand_value():
     # alpha=2, scale=(1/0.5)=2 -> 2*(2*4 + 0.01*100) = 18
-    assert effective_variance(0.1, 0.5, 1.0, 100.0, alpha=2.0) == pytest.approx(18.0)
+    assert effective_variance(0.1 * 0.1 * 100.0, 0.5, 1.0, alpha=2.0) == pytest.approx(18.0)
 
 
 def test_effective_variance_rejects_zero_budget():
     with pytest.raises(ValueError):
-        effective_variance(0.5, 0.0, 1.0, 1.0)
+        effective_variance(0.5 * 0.5 * 1.0, 0.0, 1.0)
 
 
 def test_effective_variance_monotone_in_budget():
-    lo = effective_variance(0.3, 0.2, 1.0, 10.0)
-    hi = effective_variance(0.3, 2.0, 1.0, 10.0)
+    lo = effective_variance(0.3 * 0.3 * 10.0, 0.2, 1.0)
+    hi = effective_variance(0.3 * 0.3 * 10.0, 2.0, 1.0)
     assert hi < lo
+
+
+def _masked_effective_variance(coefficient, eps_t, sensitivity, process_var, alpha):
+    """The formula before the engine hoisted the sensing variance: the
+    perturbation term masked to zero wherever eps_t is inf."""
+    scale = sensitivity / eps_t
+    perturb_var = np.where(np.isinf(eps_t), 0.0, 2.0 * scale * scale)
+    return alpha * (perturb_var + coefficient * coefficient * process_var)
+
+
+_budgets = st.one_of(st.just(math.inf), st.floats(1e-300, 1e300), st.floats(1e-4, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_effective_variance_matches_masked_formula(data):
+    draw = data.draw
+    m, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    coeff = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))[:, None]
+    q = np.array(draw(st.lists(st.floats(0.0, 1e8), min_size=d, max_size=d)))[None, :]
+    eps = np.array(draw(st.lists(_budgets, min_size=m * d, max_size=m * d))).reshape(m, d)
+    sensitivity = draw(st.floats(1e-3, 1e3))
+    alpha = draw(st.floats(1e-3, 1e3))
+    sensing = (coeff[:, 0] * coeff[:, 0])[:, None] * q  # as the engine hoists it
+    with np.errstate(over="ignore"):  # tiny budgets overflow both to inf alike
+        got = effective_variance(sensing, eps, sensitivity, alpha=alpha)
+        want = _masked_effective_variance(coeff, eps, sensitivity, q, alpha)
+    assert got.tobytes() == want.tobytes()
+    # at inf nothing is added to the sensing variance
+    off = np.isinf(eps)
+    assert got[off].tobytes() == (alpha * sensing)[off].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_predict_with_hoisted_constants_matches_direct_expression(data):
+    draw = data.draw
+    m, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    finite = st.floats(-1e6, 1e6)
+    transition = np.array(draw(st.lists(finite, min_size=d * d, max_size=d * d))).reshape(d, d)
+    posterior = np.array(draw(st.lists(finite, min_size=m * d, max_size=m * d))).reshape(m, d)
+    posterior_var = np.array(
+        draw(st.lists(st.floats(0.0, 1e12), min_size=m * d, max_size=m * d))
+    ).reshape(m, d)
+    q = np.array(draw(st.lists(st.floats(0.0, 1e8), min_size=d, max_size=d)))
+    prior, prior_var = predict(posterior, posterior_var, transition.T,
+                               prediction_gain(transition), q)
+    assert prior.tobytes() == (posterior @ np.asarray(transition, dtype=float).T).tobytes()
+    assert prior_var.tobytes() == (prediction_gain(transition) * posterior_var + q).tobytes()
 
 
 # ------------------------------------------------------------------ predict
 
 def test_predict_static_noiseless():
-    prior, prior_var = predict(np.array([7.0]), np.array([2.0]), np.array([[1.0]]), np.array([0.0]))
+    prior, prior_var = _predict(np.array([7.0]), np.array([2.0]), np.array([[1.0]]), np.array([0.0]))
     assert prior[0] == 7.0 and prior_var[0] == 2.0
 
 
 def test_predict_variance_growth():
-    _, prior_var = predict(np.array([0.0]), np.array([1.0]), np.array([[1.0]]), np.array([1e5]))
+    _, prior_var = _predict(np.array([0.0]), np.array([1.0]), np.array([[1.0]]), np.array([1e5]))
     assert prior_var[0] == 100001.0
 
 
 def test_predict_zero_transition():
-    prior, _ = predict(np.array([55.0]), np.array([1.0]), np.array([[0.0]]), np.array([1.0]))
+    prior, _ = _predict(np.array([55.0]), np.array([1.0]), np.array([[0.0]]), np.array([1.0]))
     assert prior[0] == 0.0
 
 
@@ -147,13 +206,13 @@ def test_matches_textbook_kalman_50_steps():
         ref.append(xk)
 
     # information form under test
-    prior, prior_var = initialize(np.array([zs[0]]), 1.0, np.array([r]),
-                                  np.array([[a]]), np.array([q]))
+    prior, prior_var = _initialize(np.array([zs[0]]), 1.0, np.array([r]),
+                                   np.array([[a]]), np.array([q]))
     post = None
     got = []
     for t, z in enumerate(zs, start=1):
         if t > 1:
-            prior, prior_var = predict(post, post_var, np.array([[a]]), np.array([q]))
+            prior, prior_var = _predict(post, post_var, np.array([[a]]), np.array([q]))
         post, post_var = update_from_delta(prior, prior_var, np.array([z / r]),
                                            np.array([1.0 / r]), np.zeros(1), 0.05)
         got.append(post[0])
@@ -162,8 +221,8 @@ def test_matches_textbook_kalman_50_steps():
 
 
 def test_initialize_empty_server_uninformative():
-    prior, prior_var = initialize(np.array([0.0]), 0.0, np.array([1.0]),
-                                  np.array([[1.0]]), np.array([2.0]))
+    prior, prior_var = _initialize(np.array([0.0]), 0.0, np.array([1.0]),
+                                   np.array([[1.0]]), np.array([2.0]))
     assert prior[0] == 0.0
     assert prior_var[0] == 1e6 * 2.0 + 2.0
 
@@ -217,18 +276,18 @@ def _reference_releases(cfg, result, neighbours, flood=None):
         z = result.observations[:, tidx]
         sampled = result.sampled[:, tidx]
         rhat = np.maximum(
-            effective_variance(coeff[:, None], eps[:, tidx], cfg.sensitivity_c, q,
-                               cfg.kcif.alpha),
+            effective_variance(coeff[:, None] * coeff[:, None] * q, eps[:, tidx],
+                               cfg.sensitivity_c, alpha=cfg.kcif.alpha),
             cfg.kcif.variance_floor,
         )
         prior = np.empty((m, d))
         prior_var = np.empty((m, d))
         for i in range(m):
             if sampled[i].all() and not initialized[i].any():
-                prior[i], prior_var[i] = initialize(z[i], coeff[i], rhat[i], transition, q)
+                prior[i], prior_var[i] = _initialize(z[i], coeff[i], rhat[i], transition, q)
                 initialized[i] = True
             else:
-                prior[i], prior_var[i] = predict(post[i], post_var[i], transition, q)
+                prior[i], prior_var[i] = _predict(post[i], post_var[i], transition, q)
         for i in range(m):
             value = np.where(sampled[i], coeff[i] * z[i] / rhat[i], 0.0)
             weight = np.where(sampled[i], coeff[i] ** 2 / rhat[i], 0.0)
