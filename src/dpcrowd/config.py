@@ -131,6 +131,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be a finite number, got {value!r}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.net.seed is not None and self.net.seed < 0:
+            raise ConfigError(f"net.seed must be >= 0, got {self.net.seed}")
         if self.timestamps < 1:
             raise ConfigError("timestamps must be >= 1")
         if self.users < 1:
@@ -296,7 +300,8 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
                 value = _parse_value(str(raw_value), target)
             sections[section][attr] = value
         else:
-            if attr not in top_types:
+            # a section name on its own is not a key: its fields are set one by one
+            if attr not in top_types or attr in _SECTIONS:
                 raise ConfigError(f"unknown config key {key!r}")
             top[attr] = _parse_value(str(raw_value), top_types[attr])
     kwargs: dict[str, object] = dict(top)

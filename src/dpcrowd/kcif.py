@@ -17,11 +17,19 @@ __all__ = [
     "prediction_gain",
     "predict",
     "initialize",
+    "uninformed_variance",
     "update_from_delta",
 ]
 
 # Fallback prior weight for a server that starts with no usable observation.
 UNINFORMED_VARIANCE_SCALE = 1e6
+
+
+def uninformed_variance(process_var):
+    """Prior variance of a filter that has no usable observation yet."""
+    return np.where(
+        process_var > 0, UNINFORMED_VARIANCE_SCALE * process_var, UNINFORMED_VARIANCE_SCALE
+    )
 
 
 def effective_variance(sensing_var, eps_t, sensitivity, *, alpha: float = 1.0):
@@ -68,10 +76,8 @@ def initialize(released, coefficient, rhat, transition_t, gain, process_var):
     """
     safe = np.where(coefficient > 0, coefficient, 1.0)
     estimate = np.where(coefficient > 0, released / safe, 0.0)
-    fallback = np.where(
-        process_var > 0, UNINFORMED_VARIANCE_SCALE * process_var, UNINFORMED_VARIANCE_SCALE
-    )
-    m0 = np.where(coefficient > 0, coefficient * coefficient / rhat, fallback)
+    m0 = np.where(coefficient > 0, coefficient * coefficient / rhat,
+                  uninformed_variance(process_var))
     return estimate @ transition_t, gain * m0 + process_var
 
 

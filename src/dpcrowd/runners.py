@@ -9,8 +9,10 @@ draw for draw.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -154,15 +156,6 @@ def _check_consensus_stability(adj: np.ndarray, beta: float) -> None:
         )
 
 
-def _coefficients(sizes: np.ndarray, users: int, q_row: np.ndarray, q_sd: np.ndarray):
-    """Per-partition constants: the observation coefficients as a column, their
-    squares, the sensing variance coefficient^2 * q and the noise scale."""
-    coeff = sizes / float(users)
-    coeff_col = coeff[:, None]
-    coeff_sq_col = (coeff * coeff)[:, None]
-    return coeff_col, coeff_sq_col, coeff_sq_col * q_row, coeff_col * q_sd
-
-
 def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     d = cfg.model.d
     m = cfg.net.m
@@ -171,7 +164,6 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     private = policy.private
     adaptive = policy.adaptive
     grouping = adaptive and cfg.grouping.enabled
-    frozen = cfg.model.freeze_partition
     fixed_sampling = cfg.sampling.mode == "fixed"
     epsilon, mu, p_max = cfg.epsilon, cfg.mu, cfg.p_max
     pid_delta, theta, xi = cfg.pid.delta, cfg.pid.theta, cfg.pid.xi
@@ -184,8 +176,6 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     # run constants of the time update
     transition_t = transition.T
     gain = kcif.prediction_gain(transition)
-    q_row = q_diag[None, :]
-    q_sd = np.sqrt(q_diag)[None, :]
 
     master = np.random.SeedSequence(cfg.seed)
     data_key, partition_key, latency_key, topology_key, *server_keys = master.spawn(4 + m)
@@ -200,19 +190,28 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
         topo_seed = int(np.random.default_rng(topology_key).integers(0, 2**31 - 1))
     topo = TopologySchedule(m=m, density=cfg.net.rho, seed=topo_seed, dynamic=cfg.net.dynamic)
 
-    sizes = partition_users(cfg.users, m, partition_rng)
-    coeff_col, coeff_sq_col, sensing, noise_scale = _coefficients(sizes, cfg.users, q_row, q_sd)
+    # User partitions as (partitions, m, 1) columns: the set-up draw for a
+    # frozen partition; a repartitioned run leaves that draw unused and takes
+    # the next one at each timestamp.
+    sizes = partition_users(cfg.users, m, partition_rng)[None]
+    if not cfg.model.freeze_partition:
+        sizes = np.stack([partition_users(cfg.users, m, partition_rng) for _ in range(timestamps)])
+    coeffs = sizes[:, :, None] / float(cfg.users)
+    coeff_sqs = coeffs * coeffs
 
-    # Per-server observation-noise draws come off that server's own stream,
-    # pre-drawn as standard normals and scaled per timestamp. With a frozen
-    # partition the buffer is turned into the raw aggregates of the whole run
-    # in place: x = coeff * truth + noise_scale * noise, as the per-timestamp
-    # sum forms it (both operations commute exactly).
+    # Per-server observation-noise draws come off that server's own stream as
+    # standard normals and are turned into the raw aggregates of the whole run
+    # in place: x = noise * (coeff * sd) + coeff * truth.
     obs_noise = np.stack([rng.standard_normal((timestamps, d)) for rng in server_rngs])
-    if frozen:
-        for i, x in enumerate(obs_noise):
-            x *= noise_scale[i]
-            x += coeff_col[i] * truth
+    noise_scale = coeffs * np.sqrt(q_diag)
+    for i, x in enumerate(obs_noise):
+        x *= noise_scale[:, i]
+        x += coeffs[:, i] * truth
+    # per-timestamp rows; a frozen partition's are views of its one partition
+    coeffs, coeff_sqs, sensings = (
+        np.broadcast_to(a, (timestamps, m, a.shape[2]))
+        for a in (coeffs, coeff_sqs, coeff_sqs * q_diag)
+    )
 
     ledgers: list[PrivacyLedger] | None = None
     if private:
@@ -228,8 +227,6 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     tau = cfg.grouping.tau
 
     block_len = cfg.w if policy.window_restart else timestamps
-    uninformed = np.where(q_diag > 0, kcif.UNINFORMED_VARIANCE_SCALE * q_diag,
-                          kcif.UNINFORMED_VARIANCE_SCALE)
 
     releases = np.empty((m, timestamps, d))
     observations = np.empty((m, timestamps, d))
@@ -239,14 +236,13 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     # run records its broadcasters as it goes
     broadcast_trace = np.full((m, timestamps), policy.flood)
     stats = CommStats(broadcasts=np.full(m, timestamps if policy.flood else 0, dtype=np.int64))
-    message_bytes = message_num_bytes(d)
-    payload_bytes = flood_payload_bytes(d)
+    packet_bytes = message_num_bytes(d) if policy.communicate else flood_payload_bytes(d)
     no_delta = np.zeros((m, d))
 
     adj_needed = (policy.communicate or policy.flood) and m > 1
     # per-adjacency work runs once per adjacency array: once a run on a
     # static topology, once a timestamp on a dynamic one
-    checked_adj = flood_adj = None
+    seen_adj = None
 
     for tidx in range(timestamps):
         t = tidx + 1
@@ -286,27 +282,28 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                 # pairs whose schedule comes up then; only these are asked
                 calendar = {t: [(i, k) for i in range(m) for k in range(d)]}
             posterior = np.zeros((m, d))
-            posterior_var = np.tile(uninformed, (m, 1))
+            posterior_var = np.tile(kcif.uninformed_variance(q_diag), (m, 1))
             initialized = np.zeros((m, d), dtype=bool)
-            all_initialized = False
             last_rhat = np.full((m, d), np.inf)
 
         adj = topo.adjacency_at(t) if adj_needed else None
-        if policy.communicate and adj is not None and adj is not checked_adj:
-            _check_consensus_stability(adj, beta)
-            link = adj.astype(float)
-            degree = degrees(adj)
-            checked_adj = adj
+        if adj is not seen_adj:
+            seen_adj = adj
+            if policy.communicate:
+                _check_consensus_stability(adj, beta)
+                link = adj.astype(float)
+                degree = degrees(adj)
+            else:
+                known, _, _, flood_rounds = flood_reachability(adj)
+                counts = known.sum(axis=1).astype(float)[:, None]
+                # servers holding the same payload set must release bitwise
+                # identical averages, so sum each distinct set once in index
+                # order instead of letting a blocked matmul pick the order
+                uniq, inverse = np.unique(known, axis=0, return_inverse=True)
+        coeff_col, coeff_sq_col, sensing = coeffs[tidx], coeff_sqs[tidx], sensings[tidx]
         # Raw aggregates: consumed by the perturbation/selection block below
         # and by nothing else in private modes.
-        if frozen:
-            x_raw = obs_noise[:, tidx, :]
-        else:
-            sizes = partition_users(cfg.users, m, partition_rng)
-            coeff_col, coeff_sq_col, sensing, noise_scale = _coefficients(
-                sizes, cfg.users, q_row, q_sd
-            )
-            x_raw = coeff_col * truth[tidx] + noise_scale * obs_noise[:, tidx, :]
+        x_raw = obs_noise[:, tidx, :]
 
         if not private:
             z = x_raw
@@ -315,18 +312,16 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
             # An unsampled dimension repeats the server's previous release.
             z = releases[:, tidx - 1, :].copy() if tidx else np.zeros((m, d))
             eps_left_after: dict[tuple[int, int], float] = {}
-            # sorted, so each server's due dimensions come in ascending order
-            due_by_server: dict[int, list[int]] = {}
-            for i, k in sorted(calendar.pop(t, ())):
-                if schedules[i][k].is_sampling_point(t):  # False once a cap is used up
-                    due_by_server.setdefault(i, []).append(k)
             granted_by_server: dict[int, list[int]] = {}
-            for i, due in due_by_server.items():
+            # sorted, so each server's popped dimensions come in ascending order
+            for i, popped in itertools.groupby(sorted(calendar.pop(t, ())), key=itemgetter(0)):
                 ledger, schedule_row = ledgers[i], schedules[i]
                 grant_row = [0.0] * d
                 granted: list[int] = []
-                for k in due:
+                for _, k in popped:
                     schedule = schedule_row[k]
+                    if not schedule.is_sampling_point(t):  # False once a cap is used up
+                        continue
                     if adaptive:
                         before = ledger.remaining_window(k, t)
                         grant = allocate_adaptive(before, schedule.interval, mu, p_max, eps_max)
@@ -372,16 +367,12 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
         rhat = np.maximum(rhat, variance_floor)
 
         prior, prior_var = kcif.predict(posterior, posterior_var, transition_t, gain, q_diag)
-        if not all_initialized:
-            init_mask = sampled & ~initialized
-            if init_mask.any():
-                init_prior, init_var = kcif.initialize(
-                    z, coeff_col, rhat, transition_t, gain, q_diag
-                )
-                prior = np.where(init_mask, init_prior, prior)
-                prior_var = np.where(init_mask, init_var, prior_var)
-                initialized |= sampled
-                all_initialized = bool(initialized.all())
+        init_mask = sampled & ~initialized
+        if init_mask.any():
+            init_prior, init_var = kcif.initialize(z, coeff_col, rhat, transition_t, gain, q_diag)
+            prior = np.where(init_mask, init_prior, prior)
+            prior_var = np.where(init_mask, init_var, prior_var)
+            initialized |= sampled
 
         u = np.where(sampled, coeff_col * z / rhat, 0.0)
         weight = np.where(sampled, coeff_sq_col / rhat, 0.0)
@@ -395,46 +386,35 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
             stale_u = stale_w = 0.0
 
         active = sampled.any(axis=1)
+        # deliveries per round of this timestamp's traffic; none when silent
+        rounds: list[int] = []
         if policy.communicate and m > 1:
             fused_value = u + stale_u + link @ u
             fused_weight = weight + stale_w + link @ weight
             nbr_count = link @ active.astype(float)
             prior_sum = link @ (prior * active[:, None])
             prior_delta = prior_sum - nbr_count[:, None] * prior
-            packets = int(degree[active].sum())
-            latency = _delivery_latency([packets], latency_rng, latency_center)
-            stats.record_round(packets, packets * message_bytes, latency)
+            rounds = [int(degree[active].sum())]
             broadcast_trace[:, tidx] = active
         else:
             fused_value = u + stale_u
             fused_weight = weight + stale_w
             prior_delta = no_delta
-            if not policy.flood:
-                stats.record_round(0, 0, 0.0)
 
         posterior, posterior_var = kcif.update_from_delta(
             prior, prior_var, fused_value, fused_weight, prior_delta, beta
         )
 
         release_t = posterior
-        if policy.flood:
-            if m > 1:
-                if adj is not flood_adj:
-                    known, _, fpackets, rounds = flood_reachability(adj)
-                    counts = known.sum(axis=1).astype(float)[:, None]
-                    # servers holding the same payload set must release bitwise
-                    # identical averages, so sum each distinct set once in index
-                    # order instead of letting a blocked matmul pick the order
-                    uniq, inverse = np.unique(known, axis=0, return_inverse=True)
-                    flood_adj = adj
-                sums = np.stack([posterior[row].sum(axis=0) for row in uniq])
-                release_t = sums[inverse] / counts
-                latency = _delivery_latency(rounds, latency_rng, latency_center)
-                stats.record_round(fpackets, fpackets * payload_bytes, latency)
-            else:
-                stats.record_round(0, 0, 0.0)
+        if policy.flood and m > 1:
+            sums = np.stack([posterior[row].sum(axis=0) for row in uniq])
+            release_t = sums[inverse] / counts
+            rounds = flood_rounds
         elif policy.communicate:
             stats.broadcasts += active
+        packets = sum(rounds)
+        latency = _delivery_latency(rounds, latency_rng, latency_center)
+        stats.record_round(packets, packets * packet_bytes, latency)
 
         if cfg.kcif.clamp_releases:
             release_t = np.maximum(release_t, 0.0)

@@ -27,9 +27,13 @@ def feedback_error(prior: float, posterior: float, floor: float = 1.0) -> float:
     return abs(float(posterior) - float(prior)) / max(abs(float(posterior)), floor)
 
 
-def _round_half_away(x: float) -> int:
-    """Round to nearest with ties away from zero (round() would go to even)."""
-    return int(math.floor(x + 0.5)) if x >= 0 else int(math.ceil(x - 0.5))
+def _stepped(interval: int, step: float) -> int:
+    """interval + step, never below 1; the step is rounded to nearest with ties
+    away from zero (round() would go to even). A step of -inf (an interval law
+    that overflowed) gives 1, as every finite step <= 1 - interval does."""
+    if step == -math.inf:
+        return 1
+    return max(1, interval + int(math.floor(step + 0.5) if step >= 0 else math.ceil(step - 0.5)))
 
 
 @dataclass
@@ -81,7 +85,7 @@ def next_interval(interval: int, delta: float, theta: float, xi: float) -> int:
     if xi <= 0:
         raise ValueError(f"setpoint xi must be positive, got {xi}")
     ratio = delta / xi
-    return max(1, interval + _round_half_away(theta * (1.0 - ratio * ratio)))
+    return _stepped(interval, theta * (1.0 - ratio * ratio))
 
 
 def next_interval_plus(interval: int, delta: float, remaining: float, theta: float) -> int:
@@ -92,7 +96,7 @@ def next_interval_plus(interval: int, delta: float, remaining: float, theta: flo
     """
     if interval < 1:
         raise ValueError(f"interval must be >= 1, got {interval}")
-    return max(1, interval + _round_half_away(theta * (1.0 - delta * remaining)))
+    return _stepped(interval, theta * (1.0 - delta * remaining))
 
 
 @dataclass

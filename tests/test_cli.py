@@ -235,3 +235,55 @@ def test_non_finite_number_is_diagnosed(tmp_path, capsys, lines, key):
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert f"{key} must be a finite number" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lines, key", [
+    ("model = 3\n", "unknown config key 'model'"),
+    ("seed = -1\n", "seed must be >= 0"),
+    ("net.seed = -5\n", "net.seed must be >= 0"),
+], ids=["section_as_key", "negative_seed", "negative_net_seed"])
+def test_bad_key_or_seed_is_diagnosed(tmp_path, capsys, lines, key):
+    cfg = _write_cfg(tmp_path, BASE_CFG + lines)
+    out = tmp_path / "r.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_over_section_name_is_diagnosed(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", str(cfg), "--param", "model", "--values", "3",
+                 "--out", str(out)]) == 2
+    assert "unknown config key 'model'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_env_seed_is_diagnosed(tmp_path, capsys, monkeypatch):
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "r.csv"
+    monkeypatch.setenv("DPCROWD_SEED", "-4")
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+OVERFLOW_CFG = """
+seed = 0
+timestamps = 40
+users = 1000
+net.m = 4
+w = 10
+"""
+
+
+@pytest.mark.parametrize("algorithm", ["dpcrowd", "dpcrowd_w"])
+@pytest.mark.parametrize("line", ["pid.xi = 1e-320", "pid.cp = 1e300"])
+def test_overflowing_interval_law_runs(tmp_path, algorithm, line):
+    # (control / xi)^2 overflows to inf: the interval floors at 1 and the run completes
+    cfg = _write_cfg(tmp_path, OVERFLOW_CFG + f"algorithm = {algorithm}\n{line}\n")
+    out = tmp_path / "r.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["algorithm"] for r in rows] == [algorithm]

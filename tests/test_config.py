@@ -49,6 +49,31 @@ def test_unknown_key_rejected():
         config_from_mapping({"bogus": "1"})
 
 
+@pytest.mark.parametrize("section", ["model", "data", "net", "sampling", "pid", "grouping",
+                                     "kcif"])
+def test_section_name_as_top_level_key_rejected(section):
+    # a section name is not a key of its own, with or without its dotted keys
+    with pytest.raises(ConfigError, match=rf"unknown config key '{section}'"):
+        config_from_mapping({"algorithm": "fast", section: "3"})
+    with pytest.raises(ConfigError, match=rf"unknown config key '{section}'"):
+        apply_override(ExperimentConfig(), section, "3")
+
+
+@pytest.mark.parametrize("key, value", [("seed", "-1"), ("net.seed", "-5")])
+def test_negative_seed_rejected(key, value):
+    with pytest.raises(ConfigError, match=rf"^{key} must be >= 0"):
+        config_from_mapping({"algorithm": "fast", key: value})
+    assert config_from_mapping({"algorithm": "fast", key: "0"})
+
+
+def test_negative_env_seed_rejected(tmp_path, monkeypatch):
+    p = tmp_path / "c.cfg"
+    p.write_text("algorithm = fast\n")
+    monkeypatch.setenv(SEED_ENV_VAR, "-4")
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -4"):
+        load_config(p)
+
+
 def test_unknown_algorithm_rejected():
     with pytest.raises(ConfigError, match="unknown algorithm"):
         config_from_mapping({"algorithm": "sgd"})

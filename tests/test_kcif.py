@@ -248,31 +248,36 @@ def _isolated(t):
     return np.zeros((len(SIZES),) * 2, bool)
 
 
-def _reference_releases(cfg, result, neighbours, flood=None):
-    """Replay a one-dimensional run server by server, fusing over row i of
-    neighbours(t) one neighbour at a time.
+def _reference_releases(cfg, result, neighbours, flood=None, sizes=None, block=None):
+    """Replay a run server by server, fusing over row i of neighbours(t) one
+    neighbour at a time.
 
-    With flood(t) each server releases the plain average of the posteriors it
-    holds after flooding that adjacency, while its filter carries on from its
-    own posterior. Per-release budgets come from the ledgers (inf without
-    one), observations and sampling masks from the run itself.
+    Server i observes with coefficient sizes[t - 1, i] / users (SIZES at every
+    timestamp by default), and with block every filter restarts uninformed at
+    t = 1, block + 1, 2 block + 1, ... With flood(t) each server releases the
+    plain average of the posteriors it holds after flooding that adjacency,
+    while its filter carries on from its own posterior. Per-release budgets
+    come from the ledgers (inf without one), observations and sampling masks
+    from the run itself.
     """
     m, timestamps, d = result.releases.shape
-    coeff = SIZES / cfg.users
+    coeffs = (np.tile(SIZES, (timestamps, 1)) if sizes is None else sizes) / cfg.users
     transition = build_transition(d, cfg.model.a, cfg.model.a_offdiag)
-    q = np.full(d, cfg.model.q[0])
+    q = np.broadcast_to(np.asarray(cfg.model.q, dtype=float), (d,))
     eps = np.full((m, timestamps, d), np.inf)
     for i, ledger in enumerate(result.ledgers or []):
         for k in range(d):
             for t, e in ledger.spends[k]:
                 eps[i, t - 1, k] = e
-    post = np.zeros((m, d))
-    post_var = np.tile(UNINFORMED_VARIANCE_SCALE * q, (m, 1))
-    initialized = np.zeros((m, d), dtype=bool)
     releases = np.empty_like(result.releases)
     variances = np.empty_like(result.posterior_var)
     for tidx in range(timestamps):
+        if tidx % (block or timestamps) == 0:
+            post = np.zeros((m, d))
+            post_var = np.tile(UNINFORMED_VARIANCE_SCALE * q, (m, 1))
+            initialized = np.zeros((m, d), dtype=bool)
         adj = neighbours(tidx + 1)
+        coeff = coeffs[tidx]
         z = result.observations[:, tidx]
         sampled = result.sampled[:, tidx]
         rhat = np.maximum(
@@ -283,11 +288,14 @@ def _reference_releases(cfg, result, neighbours, flood=None):
         prior = np.empty((m, d))
         prior_var = np.empty((m, d))
         for i in range(m):
-            if sampled[i].all() and not initialized[i].any():
-                prior[i], prior_var[i] = _initialize(z[i], coeff[i], rhat[i], transition, q)
-                initialized[i] = True
-            else:
-                prior[i], prior_var[i] = _predict(post[i], post_var[i], transition, q)
+            # a dimension's first observation since the restart seeds its prior
+            first = sampled[i] & ~initialized[i]
+            prior[i], prior_var[i] = _predict(post[i], post_var[i], transition, q)
+            if first.any():
+                init, init_var = _initialize(z[i], coeff[i], rhat[i], transition, q)
+                prior[i] = np.where(first, init, prior[i])
+                prior_var[i] = np.where(first, init_var, prior_var[i])
+                initialized[i] |= first
         for i in range(m):
             value = np.where(sampled[i], coeff[i] * z[i] / rhat[i], 0.0)
             weight = np.where(sampled[i], coeff[i] ** 2 / rhat[i], 0.0)
@@ -352,6 +360,76 @@ def test_empty_server_observes_zero(monkeypatch):
     _, result = _run_fixed_partition(monkeypatch, "nonprivate")
     assert np.all(result.observations[SIZES == 0] == 0.0)
     assert np.all(result.observations[SIZES > 0] != 0.0)
+
+
+def _run_grid_partition(monkeypatch, algorithm, **changes):
+    # the golden grid's base config on SIZES: dpcrowd_plus merges dimensions there
+    monkeypatch.setattr(runners, "partition_users", lambda n, m, rng: SIZES.copy())
+    cfg = config_from_mapping({**BASE, "algorithm": algorithm, "users": str(SIZES.sum()),
+                               "net.m": str(len(SIZES)), **changes})
+    return cfg, runners.run_experiment(cfg)
+
+
+@pytest.mark.parametrize("grouping", [True, False], ids=["grouping_on", "grouping_off"])
+def test_plus_fusion_matches_per_server_replay(monkeypatch, grouping):
+    # adaptive grants and grouped perturbation reach the filter only through
+    # the observations and the ledger spends, which the replay reads
+    merged = []
+    group_regions = runners.group_regions
+
+    def recording(*args):
+        partition = group_regions(*args)
+        merged.extend(g for g in partition.groups if len(g) > 1)
+        return partition
+
+    monkeypatch.setattr(runners, "group_regions", recording)
+    cfg, result = _run_grid_partition(monkeypatch, "dpcrowd_plus", **{
+        "model.d": "3", "grouping.enabled": str(grouping).lower(),
+    })
+    assert bool(merged) == grouping
+    topo = TopologySchedule(m=cfg.net.m, density=cfg.net.rho, seed=cfg.net.seed)
+    releases, variances = _reference_releases(cfg, result, topo.adjacency_at)
+    np.testing.assert_allclose(result.releases, releases, rtol=1e-12)
+    np.testing.assert_allclose(result.posterior_var, variances, rtol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_windowed_restarts_match_per_server_replay(monkeypatch, d):
+    # dpcrowd_w restarts every filter at each block start t = 1, w + 1, ...
+    cfg, result = _run_grid_partition(monkeypatch, "dpcrowd_w", **{"model.d": str(d)})
+    assert cfg.timestamps > 2 * cfg.w
+    topo = TopologySchedule(m=cfg.net.m, density=cfg.net.rho, seed=cfg.net.seed)
+    releases, variances = _reference_releases(cfg, result, topo.adjacency_at, block=cfg.w)
+    np.testing.assert_allclose(result.releases, releases, rtol=1e-12)
+    np.testing.assert_allclose(result.posterior_var, variances, rtol=1e-12)
+
+
+@pytest.mark.parametrize("algorithm", ["nonprivate", "dpcrowd"])
+def test_repartitioned_run_takes_one_draw_per_timestamp(monkeypatch, algorithm):
+    # Each call to partition_users returns a new order of SIZES, so a
+    # different server is empty. Call 0 is the set-up draw, which a
+    # repartitioned run leaves unused: timestamp t observes with call t.
+    timestamps = 40
+    rng = np.random.default_rng(5)
+    draws = [rng.permutation(SIZES) for _ in range(timestamps + 1)]
+    assert all((a != b).any() for a, b in zip(draws, draws[1:]))
+    calls = iter(draws)
+    monkeypatch.setattr(runners, "partition_users", lambda n, m, rng: next(calls).copy())
+    cfg = ExperimentConfig(
+        algorithm=algorithm, seed=7, timestamps=timestamps, users=int(SIZES.sum()),
+        model=ModelConfig(q=(100.0,), freeze_partition=False),
+        net=NetConfig(m=len(SIZES), rho=0.5, seed=11),
+    )
+    result = runners.run_experiment(cfg)
+    assert next(calls, None) is None  # one set-up draw, then one per timestamp
+    sizes = np.array(draws[1:])
+    if algorithm == "nonprivate":
+        # an empty server's raw aggregate is exactly zero, and only its
+        assert ((result.observations[:, :, 0] == 0.0) == (sizes.T == 0)).all()
+    topo = TopologySchedule(m=cfg.net.m, density=cfg.net.rho, seed=cfg.net.seed)
+    releases, variances = _reference_releases(cfg, result, topo.adjacency_at, sizes=sizes)
+    np.testing.assert_allclose(result.releases, releases, rtol=1e-12)
+    np.testing.assert_allclose(result.posterior_var, variances, rtol=1e-12)
 
 
 # ------------------------------- dpcrowd_plus grants against the ledger history

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +89,36 @@ def test_next_interval_plus_floors():
 def test_interval_always_at_least_one(interval, delta, xi):
     assert next_interval(interval, delta, 2.5, xi) >= 1
     assert next_interval_plus(interval, delta, 1.0, 3.0) >= 1
+
+
+@pytest.mark.parametrize("delta, xi", [(1.0, 1e-320), (1e300, 0.05), (math.inf, 0.05)],
+                         ids=["subnormal_xi", "ratio_squared_overflows", "inf_control"])
+def test_next_interval_overflowed_law_floors_at_one(delta, xi):
+    # (delta / xi)^2 is inf, so the step is -inf: the interval floors at 1
+    assert next_interval(7, delta, theta=2.5, xi=xi) == 1
+
+
+@pytest.mark.parametrize("delta, remaining", [(math.inf, 0.5), (1e300, 1e300)],
+                         ids=["inf_control", "product_overflows"])
+def test_next_interval_plus_overflowed_law_floors_at_one(delta, remaining):
+    assert next_interval_plus(7, delta, remaining=remaining, theta=2.5) == 1
+
+
+@given(st.integers(1, 50), st.floats(0.0, 1e150), st.floats(1e-150, 5.0),
+       st.floats(0.0, 1e150), st.floats(0.0, 10.0))
+@settings(max_examples=300, deadline=None)
+def test_interval_law_on_finite_steps(interval, delta, xi, remaining, theta):
+    # finite steps keep the plain law: interval + step rounded half away from 0
+    def law(step):
+        rounded = math.floor(step + 0.5) if step >= 0 else math.ceil(step - 0.5)
+        return max(1, interval + int(rounded))
+
+    ratio = delta / xi
+    step, step_plus = theta * (1.0 - ratio * ratio), theta * (1.0 - delta * remaining)
+    if math.isfinite(step):
+        assert next_interval(interval, delta, theta, xi) == law(step)
+    if math.isfinite(step_plus):
+        assert next_interval_plus(interval, delta, remaining, theta) == law(step_plus)
 
 
 @given(st.floats(0.0, 3.0), st.floats(0.0, 3.0))
