@@ -183,6 +183,8 @@ class ExperimentConfig:
             raise ConfigError("pid.ti must be >= 1")
         if self.pid.xi <= 0:
             raise ConfigError("pid.xi must be positive")
+        if self.pid.theta < 0:
+            raise ConfigError(f"pid.theta must be >= 0, got {self.pid.theta}")
         if self.pid.delta <= 0:
             raise ConfigError("pid.delta must be positive")
         if self.grouping.tau < 1:

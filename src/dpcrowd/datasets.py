@@ -48,9 +48,10 @@ def generate_stream(
         raise ValueError("need at least one timestamp")
     values = np.empty((timestamps, model.d))
     values[0] = np.broadcast_to(np.asarray(initial, dtype=float), (model.d,))
-    sd = np.sqrt(model.noise_var)
+    # one call draws the same values in the same stream order as one call a row
+    noise = rng.normal(0.0, np.sqrt(model.noise_var), size=(timestamps - 1, model.d))
     for row in range(1, timestamps):
-        values[row] = model.transition @ values[row - 1] + rng.normal(0.0, sd)
+        values[row] = model.transition @ values[row - 1] + noise[row - 1]
         if clamp:
             np.maximum(values[row], 0.0, out=values[row])
     return StreamPrefix(values=values)
@@ -99,6 +100,15 @@ def _parse_cell(cell: str, row: int, col: int) -> float:
     return value
 
 
+def _raise_first_bad_cell(rows: list[list[str]], start: int, width: int) -> None:
+    """Raise CsvFormatError for the first ragged row or bad cell in row order."""
+    for r, row in enumerate(rows[start:], start=start + 1):
+        if len(row) != width:
+            raise CsvFormatError(f"row {r}: expected {width} columns, got {len(row)}")
+        for c, cell in enumerate(row, start=1):
+            _parse_cell(cell.strip(), r, c)
+
+
 def load_csv(path) -> StreamPrefix:
     """Read a (T, d) stream: one row per timestamp, one column per dimension.
 
@@ -124,19 +134,24 @@ def load_csv(path) -> StreamPrefix:
         if len(rows) == 1:
             raise CsvFormatError(f"{path}: header only, no data rows")
     width = len(rows[start])
-    data = np.empty((len(rows) - start, width))
-    for r, row in enumerate(rows[start:], start=start + 1):
-        if len(row) != width:
-            raise CsvFormatError(f"row {r}: expected {width} columns, got {len(row)}")
-        for c, cell in enumerate(row, start=1):
-            data[r - start - 1, c - 1] = _parse_cell(cell.strip(), r, c)
+    data = None
+    if all(len(row) == width for row in rows[start:]):
+        # float() ignores the surrounding whitespace that _parse_cell strips
+        try:
+            data = np.array([list(map(float, row)) for row in rows[start:]])
+        except ValueError:  # a cell that is not a number
+            pass
+    if data is None or not np.isfinite(data).all() or (data < 0).any():
+        _raise_first_bad_cell(rows, start, width)
     return StreamPrefix(values=data)
 
 
 def save_csv(prefix: StreamPrefix, path) -> None:
-    """Write a stream with an x1..xd header; load_csv reads it back exactly."""
+    """Write a stream with an x1..xd header; load_csv reads it back exactly.
+
+    Each value is written as "%.17g", which round-trips every float64.
+    """
+    line = ",".join(["%.17g"] * prefix.d) + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{k + 1}" for k in range(prefix.d)])
-        for row in prefix.values:
-            writer.writerow(["%.17g" % v for v in row])
+        fh.write(",".join(f"x{k + 1}" for k in range(prefix.d)) + "\n")
+        fh.writelines(line % tuple(row) for row in prefix.values.tolist())

@@ -8,6 +8,7 @@ hard cap on the number of samples.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -29,10 +30,21 @@ def feedback_error(prior: float, posterior: float, floor: float = 1.0) -> float:
 
 def _stepped(interval: int, step: float) -> int:
     """interval + step, never below 1; the step is rounded to nearest with ties
-    away from zero (round() would go to even). A step of -inf (an interval law
-    that overflowed) gives 1, as every finite step <= 1 - interval does."""
+    away from zero (round() would go to even).
+
+    A law that overflowed gives a non-finite step. A step of -inf gives 1, as
+    every finite step <= 1 - interval does. A step of +inf (a control of -inf
+    times a positive remaining budget) gives sys.maxsize, which like every
+    finite step past the end of the run schedules no further sample. A NaN
+    step (0 * inf: theta = 0 times an overflowed (delta/xi)^2, or a drained
+    budget times an infinite control) leaves the interval as it is.
+    """
     if step == -math.inf:
         return 1
+    if step == math.inf:
+        return sys.maxsize
+    if math.isnan(step):
+        return interval
     return max(1, interval + int(math.floor(step + 0.5) if step >= 0 else math.ceil(step - 0.5)))
 
 

@@ -250,6 +250,7 @@ def test_bad_key_or_seed_is_diagnosed(tmp_path, capsys, lines, key):
     assert not out.exists()
 
 
+
 def test_sweep_over_section_name_is_diagnosed(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "s.csv"
@@ -278,12 +279,26 @@ w = 10
 
 
 @pytest.mark.parametrize("algorithm", ["dpcrowd", "dpcrowd_w"])
-@pytest.mark.parametrize("line", ["pid.xi = 1e-320", "pid.cp = 1e300"])
+@pytest.mark.parametrize("line", ["pid.xi = 1e-320", "pid.cp = 1e300",
+                                  "pid.xi = 1e-320\npid.theta = 0"])
 def test_overflowing_interval_law_runs(tmp_path, algorithm, line):
-    # (control / xi)^2 overflows to inf: the interval floors at 1 and the run completes
+    # (control / xi)^2 overflows to inf: the interval floors at 1 (or, with
+    # theta = 0, stays as it is) and the run completes
     cfg = _write_cfg(tmp_path, OVERFLOW_CFG + f"algorithm = {algorithm}\n{line}\n")
     out = tmp_path / "r.csv"
     assert main(["run", str(cfg), "--out", str(out)]) == 0
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["algorithm"] for r in rows] == [algorithm]
+
+
+@pytest.mark.parametrize("lines", ["pid.theta = -1\n", "pid.xi = 1e-320\npid.theta = -1\n"],
+                         ids=["negative_theta", "negative_theta_overflowed_law"])
+def test_negative_theta_is_diagnosed(tmp_path, capsys, lines):
+    # a negative theta inverts the interval law; with an overflowed law it
+    # used to end in an OverflowError
+    cfg = _write_cfg(tmp_path, OVERFLOW_CFG + "algorithm = dpcrowd\n" + lines)
+    out = tmp_path / "r.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "pid.theta must be >= 0, got -1.0" in capsys.readouterr().err
+    assert not out.exists()

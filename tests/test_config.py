@@ -66,6 +66,12 @@ def test_negative_seed_rejected(key, value):
     assert config_from_mapping({"algorithm": "fast", key: "0"})
 
 
+
+def test_negative_theta_rejected():
+    with pytest.raises(ConfigError, match=r"^pid.theta must be >= 0, got -1.0$"):
+        config_from_mapping({"algorithm": "dpcrowd", "pid.theta": "-1"})
+    assert config_from_mapping({"algorithm": "dpcrowd", "pid.theta": "0"}).pid.theta == 0.0
+
 def test_negative_env_seed_rejected(tmp_path, monkeypatch):
     p = tmp_path / "c.cfg"
     p.write_text("algorithm = fast\n")

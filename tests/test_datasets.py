@@ -1,6 +1,10 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from dpcrowd.cli import main
 from dpcrowd.datasets import (
     CsvFormatError,
     build_transition,
@@ -10,7 +14,7 @@ from dpcrowd.datasets import (
     load_csv,
     save_csv,
 )
-from dpcrowd.model import ProcessModel
+from dpcrowd.model import ProcessModel, StreamPrefix
 
 
 def test_linear_constant_when_noiseless():
@@ -58,6 +62,36 @@ def test_multilinear_no_mean_drift():
     assert abs(final_mean - 1e5) < 3 * sigma
 
 
+def _reference_stream(model, initial, timestamps, rng, clamp=True):
+    """One noise draw per row: the per-row loop the whole-array draw replaced."""
+    values = np.empty((timestamps, model.d))
+    values[0] = np.broadcast_to(np.asarray(initial, dtype=float), (model.d,))
+    sd = np.sqrt(model.noise_var)
+    for row in range(1, timestamps):
+        values[row] = model.transition @ values[row - 1] + rng.normal(0.0, sd)
+        if clamp:
+            np.maximum(values[row], 0.0, out=values[row])
+    return values
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+@pytest.mark.parametrize("timestamps", [1, 2, 1000])
+@pytest.mark.parametrize("clamp", [True, False])
+@pytest.mark.parametrize("noiseless", [False, True])
+def test_generate_stream_matches_per_row_draws(d, timestamps, clamp, noiseless):
+    # started near zero with noise of up to 100 sd, the clamp binds often
+    noise_var = np.zeros(d) if noiseless else np.linspace(1e2, 1e4, d)
+    model = ProcessModel(transition=build_transition(d, 0.9, 0.02), noise_var=noise_var)
+    initial = np.linspace(50.0, 500.0, d)
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    values = generate_stream(model, initial, timestamps, rng, clamp=clamp).values
+    expected = _reference_stream(model, initial, timestamps, ref_rng, clamp=clamp)
+    assert values.shape == expected.shape
+    assert values.tobytes() == expected.tobytes()
+    # the generator is left at the same position in its stream
+    assert rng.standard_normal() == ref_rng.standard_normal()
+
+
 def test_generate_stream_row_zero_is_initial():
     model = ProcessModel(transition=np.array([[1.0]]), noise_var=np.array([1.0]))
     series = generate_stream(model, [42.0], 5, np.random.default_rng(0))
@@ -101,6 +135,31 @@ def test_load_csv_rejects_non_numeric_body(tmp_path):
         load_csv(p)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1,2\n3,x\n", "row 2, column 2: 'x' is not a number"),
+    ("1\nnan\n", "row 2, column 1: value must be finite, got 'nan'"),
+    ("1\n-inf\n", "row 2, column 1: value must be finite, got '-inf'"),
+    ("1,2\n3,inf\n", "row 2, column 2: value must be finite, got 'inf'"),
+    ("1\n-2\n", "row 2, column 1: counts must be non-negative, got '-2'"),
+    ("1,2\n3\n", "row 2: expected 2 columns, got 1"),
+    ("1,2\n3,4,5\n", "row 2: expected 2 columns, got 3"),
+    # the header is row 1; row 3 is named, not the ragged row 5 after it
+    ("x1,x2\n1,2\n3,x\n4,5\n6\n", "row 3, column 2: 'x' is not a number"),
+    ("1, 2\n3, -4 \n", "row 2, column 2: counts must be non-negative, got '-4'"),
+    ("1\n y \n", "row 2, column 1: 'y' is not a number"),
+    (" 1 , 2\n3 ,\t4 \n", None),
+])
+def test_load_csv_diagnostics(tmp_path, text, message):
+    p = tmp_path / "s.csv"
+    p.write_text(text)
+    if message is None:
+        assert load_csv(p).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    else:
+        with pytest.raises(CsvFormatError) as err:
+            load_csv(p)
+        assert str(err.value) == message
+
+
 def test_load_csv_empty_file(tmp_path):
     p = tmp_path / "s.csv"
     p.write_text("")
@@ -114,3 +173,36 @@ def test_save_load_round_trip(tmp_path):
     save_csv(series, p)
     back = load_csv(p)
     np.testing.assert_array_equal(back.values, series.values)
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def _csv_writer_reference(values, path):
+    """save_csv as written through csv.writer, the format's first writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"x{k + 1}" for k in range(values.shape[1])])
+        for row in values:
+            writer.writerow(["%.17g" % v for v in row])
+
+
+def test_save_csv_bytes(tmp_path):
+    """data/ regenerates byte for byte, and save_csv writes what csv.writer wrote."""
+    for argv, name in (
+        (["linear"], "linear_demo.csv"),
+        (["multilinear", "--dims", "6"], "multilinear_demo.csv"),
+    ):
+        out = tmp_path / name
+        assert main(["gen", *argv, "--out", str(out), "--seed", "7", "--timestamps", "300"]) == 0
+        assert out.read_bytes() == (DATA / name).read_bytes()
+    seventeen = [0.1, 1 / 3, 2 ** 0.5 * 1e5, 1.2345678901234567e20, np.nextafter(1.0, 2.0)]
+    for values in (
+        np.array([seventeen, [0.0, 1e-300, 5e-324, 1.7976931348623157e308, 12345.0]]),
+        np.array([[1 / 3], [0.0], [1e-300]]),
+    ):
+        got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+        save_csv(StreamPrefix(values=values), got)
+        _csv_writer_reference(values, expected)
+        assert got.read_bytes() == expected.read_bytes()
+        assert load_csv(got).values.tobytes() == values.tobytes()

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,20 @@ def test_next_interval_overflowed_law_floors_at_one(delta, xi):
                          ids=["inf_control", "product_overflows"])
 def test_next_interval_plus_overflowed_law_floors_at_one(delta, remaining):
     assert next_interval_plus(7, delta, remaining=remaining, theta=2.5) == 1
+
+
+def test_next_interval_nan_step_keeps_interval():
+    # theta = 0 times an overflowed (delta / xi)^2 is 0 * -inf = NaN
+    assert next_interval(7, 1.0, theta=0.0, xi=1e-320) == 7
+
+
+@pytest.mark.parametrize("delta, remaining, theta, expected", [
+    (math.inf, 0.0, 2.5, 3),  # a drained budget times an inf control is NaN
+    (-math.inf, 0.5, 2.5, sys.maxsize),  # 1 - (-inf) is +inf
+    (-math.inf, 0.5, 0.0, 3),  # 0 * inf is NaN
+], ids=["inf_control_drained_budget", "minus_inf_control", "zero_theta_minus_inf_control"])
+def test_next_interval_plus_non_finite_step(delta, remaining, theta, expected):
+    assert next_interval_plus(3, delta, remaining=remaining, theta=theta) == expected
 
 
 @given(st.integers(1, 50), st.floats(0.0, 1e150), st.floats(1e-150, 5.0),
