@@ -33,11 +33,12 @@ def _stepped(interval: int, step: float) -> int:
     away from zero (round() would go to even).
 
     A law that overflowed gives a non-finite step. A step of -inf gives 1, as
-    every finite step <= 1 - interval does. A step of +inf (a control of -inf
-    times a positive remaining budget) gives sys.maxsize, which like every
-    finite step past the end of the run schedules no further sample. A NaN
-    step (0 * inf: theta = 0 times an overflowed (delta/xi)^2, or a drained
-    budget times an infinite control) leaves the interval as it is.
+    every finite step <= 1 - interval does. A step of +inf (a negative control
+    times the remaining budget, overflowed to -inf) gives sys.maxsize, which
+    like every finite step past the end of the run schedules no further
+    sample. A NaN step (0 * inf: theta = 0 times an overflowed (delta/xi)^2,
+    or a drained budget times an infinite control) leaves the interval as it
+    is.
     """
     if step == -math.inf:
         return 1
