@@ -4,28 +4,20 @@ A config file holds one `key = value` pair per line; `#` starts a comment.
 Keys use dotted sections (net.m, pid.cp, ...). Each value is parsed by its
 key's type: a boolean word (true/false, yes/no, on/off, 1/0) for a bool, an
 integer, a number, comma-separated numbers, or text kept as written.
+Each key is declared once, as a dataclass field, and read through `_KEYS`;
+each algorithm once, as a `_Policy` row.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 __all__ = [
-    "ConfigError",
-    "ALGORITHMS",
-    "SEED_ENV_VAR",
-    "ModelConfig",
-    "DataConfig",
-    "NetConfig",
-    "SamplingConfig",
-    "PidConfig",
-    "GroupingConfig",
-    "KcifConfig",
-    "ExperimentConfig",
-    "parse_config_text",
-    "load_config",
+    "ConfigError", "ALGORITHMS", "SEED_ENV_VAR", "ModelConfig", "DataConfig", "NetConfig",
+    "SamplingConfig", "PidConfig", "GroupingConfig", "KcifConfig", "ExperimentConfig",
+    "parse_config_text", "load_config",
 ]
 
 
@@ -33,7 +25,29 @@ class ConfigError(ValueError):
     """The configuration is malformed or inconsistent."""
 
 
-ALGORITHMS = ("nonprivate", "dpcrowd", "dpcrowd_plus", "dpcrowd_w", "fast", "dfast")
+@dataclass(frozen=True)
+class _Policy:
+    private: bool = False  # perturbed, budget-charged observations
+    w_event: bool = False  # ledger window w (w-event), else the whole run (user-level, w = T)
+    adaptive: bool = False  # w-event budget allocation, budget-aware intervals, grouping
+    communicate: bool = False  # one-hop consensus exchange
+    flood: bool = False  # network-wide flooding and unweighted averaging
+    window_restart: bool = False  # restart filters/schedules every w timestamps
+
+
+# A non-private policy runs on raw aggregates, sampled every timestamp.
+# adaptive turns on the budget-driven allocation, the budget-aware interval
+# law and (unless grouping.enabled is false) dynamic grouping.
+_POLICIES = {
+    "nonprivate": _Policy(communicate=True),
+    "dpcrowd": _Policy(private=True, communicate=True),
+    "dpcrowd_plus": _Policy(private=True, w_event=True, adaptive=True, communicate=True),
+    "dpcrowd_w": _Policy(private=True, w_event=True, communicate=True, window_restart=True),
+    "fast": _Policy(private=True),
+    "dfast": _Policy(private=True, flood=True),
+}
+
+ALGORITHMS = tuple(_POLICIES)
 
 SEED_ENV_VAR = "DPCROWD_SEED"
 
@@ -126,10 +140,13 @@ class ExperimentConfig:
     def validate(self) -> None:
         # NaN fails every comparison below and inf passes most, so refuse
         # both before any range check
-        for key, value in _float_entries(self):
-            if not math.isfinite(value):
-                raise ConfigError(f"{key} must be a finite number, got {value!r}")
-        if self.algorithm not in ALGORITHMS:
+        for key, (_, _, kind) in _KEYS.items():
+            value = _get(self, key)
+            for entry in value if kind is tuple else (value,) if kind is float else ():
+                if entry is not None and not math.isfinite(entry):
+                    raise ConfigError(f"{key} must be a finite number, got {entry!r}")
+        policy = _POLICIES.get(self.algorithm)
+        if policy is None:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -139,9 +156,9 @@ class ExperimentConfig:
             raise ConfigError("timestamps must be >= 1")
         if self.users < 1:
             raise ConfigError("users must be >= 1")
-        if self.epsilon <= 0 and self.algorithm != "nonprivate":
+        if self.epsilon <= 0 and policy.private:
             raise ConfigError("epsilon must be positive for private algorithms")
-        if self.algorithm in ("dpcrowd_plus", "dpcrowd_w") and self.w < 1:
+        if policy.w_event and self.w < 1:
             raise ConfigError(f"algorithm {self.algorithm!r} needs a window w >= 1, got {self.w}")
         if self.mu <= 0:
             raise ConfigError("mu must be positive")
@@ -183,8 +200,11 @@ class ExperimentConfig:
             raise ConfigError("pid.ti must be >= 1")
         if self.pid.xi <= 0:
             raise ConfigError("pid.xi must be positive")
-        if self.pid.theta < 0:
-            raise ConfigError(f"pid.theta must be >= 0, got {self.pid.theta}")
+        # a negative gain or theta inverts the feedback of the interval law
+        for key in ("pid.cp", "pid.ci", "pid.cd", "pid.theta"):
+            value = _get(self, key)
+            if value < 0:
+                raise ConfigError(f"{key} must be >= 0, got {value}")
         if self.pid.delta <= 0:
             raise ConfigError("pid.delta must be positive")
         if self.grouping.tau < 1:
@@ -204,49 +224,58 @@ class ExperimentConfig:
             raise ConfigError("kcif.variance_floor must be positive")
 
 
-_SECTIONS = {
-    "model": ModelConfig,
-    "data": DataConfig,
-    "net": NetConfig,
-    "sampling": SamplingConfig,
-    "pid": PidConfig,
-    "grouping": GroupingConfig,
-    "kcif": KcifConfig,
+# section name -> its dataclass, in field order
+_SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)
+             if f.default_factory is not MISSING}
+
+# the value kind of each annotation; an optional key is unset when None
+_KINDS = {"int": int, "float": float, "bool": bool, "str": str, "int | None": int,
+          "float | None": float, "tuple[float, ...]": tuple}
+
+# dotted key -> (section or "", field, kind), in report echo order
+_KEYS: dict[str, tuple[str, str, type]] = {
+    f"{section}.{f.name}" if section else f.name: (section, f.name, _KINDS[f.type])
+    for section, cls in (("", ExperimentConfig), *_SECTIONS.items())
+    for f in fields(cls)
+    if section or f.name not in _SECTIONS
 }
 
 
-def _float_entries(cfg: ExperimentConfig):
-    """(dotted key, value) for every set float field, one per tuple entry."""
-    sections = [("", cfg)] + [(f"{name}.", getattr(cfg, name)) for name in _SECTIONS]
-    for prefix, obj in sections:
-        for name, target in _field_types(type(obj)).items():
-            value = getattr(obj, name)
-            if target is float and value is not None:
-                yield prefix + name, value
-            elif target is tuple:
-                for entry in value:
-                    yield prefix + name, entry
+def _get(cfg: ExperimentConfig, key: str):
+    section, name, _ = _KEYS[key]
+    return getattr(getattr(cfg, section) if section else cfg, name)
 
 
-def _parse_value(raw: str, target_type):
+def _lookup(key: str) -> tuple[str, str, type]:
+    """The table entry of a dotted key; an unknown key or section is a ConfigError."""
+    if key in _KEYS:
+        return _KEYS[key]
+    section, dot, _ = key.partition(".")
+    if dot and section not in _SECTIONS:
+        raise ConfigError(f"unknown config section {section!r} in key {key!r}")
+    # a section name on its own is not a key: its fields are set one by one
+    raise ConfigError(f"unknown config key {key!r}")
+
+
+def _parse_value(label: str, raw: str, kind: type):
+    """One raw value as its key's kind; errors name the key (or other source) `label`."""
     raw = raw.strip()
-    if target_type is bool:
+    if kind is bool:
         if raw.lower() in ("true", "yes", "on", "1"):
             return True
         if raw.lower() in ("false", "no", "off", "0"):
             return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
-    if target_type is int:
+        raise ConfigError(f"{label}: expected a boolean, got {raw!r}")
+    if kind is tuple:
         try:
-            return int(raw)
+            return tuple(float(v) for v in raw.split(","))
         except ValueError:
-            raise ConfigError(f"expected an integer, got {raw!r}") from None
-    if target_type is float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"expected a number, got {raw!r}") from None
-    return raw
+            raise ConfigError(f"{label}: expected comma-separated numbers") from None
+    try:
+        return kind(raw)
+    except ValueError:  # str takes any text, so kind is int or float here
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{label}: expected {expected}, got {raw!r}") from None
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -267,53 +296,15 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _field_types(cls) -> dict[str, object]:
-    hints = {
-        "int": int, "float": float, "bool": bool, "str": str,
-        "int | None": int, "float | None": float,
-        "tuple[float, ...]": tuple,
-    }
-    return {f.name: hints.get(str(f.type), str) for f in fields(cls)}
-
-
 def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from flat dotted keys."""
-    top_types = _field_types(ExperimentConfig)
-    sections: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
-    top: dict[str, object] = {}
+    values: dict[str, dict[str, object]] = {"": {}, **{name: {} for name in _SECTIONS}}
     for key, raw_value in raw.items():
-        if "." in key:
-            section, _, attr = key.partition(".")
-        else:
-            section, attr = "", key
-        if section:
-            if section not in _SECTIONS:
-                raise ConfigError(f"unknown config section {section!r} in key {key!r}")
-            types = _field_types(_SECTIONS[section])
-            if attr not in types:
-                raise ConfigError(f"unknown config key {key!r}")
-            target = types[attr]
-            if target is tuple:
-                try:
-                    value: object = tuple(float(v) for v in str(raw_value).split(","))
-                except ValueError:
-                    raise ConfigError(f"{key}: expected comma-separated numbers") from None
-            else:
-                value = _parse_value(str(raw_value), target)
-            sections[section][attr] = value
-        else:
-            # a section name on its own is not a key: its fields are set one by one
-            if attr not in top_types or attr in _SECTIONS:
-                raise ConfigError(f"unknown config key {key!r}")
-            top[attr] = _parse_value(str(raw_value), top_types[attr])
-    kwargs: dict[str, object] = dict(top)
-    for name, cls in _SECTIONS.items():
-        if sections[name]:
-            kwargs[name] = cls(**sections[name])
-    try:
-        cfg = ExperimentConfig(**kwargs)  # type: ignore[arg-type]
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+        section, name, kind = _lookup(key)
+        values[section][name] = _parse_value(key, str(raw_value), kind)
+    top = values.pop("")
+    sections = {name: _SECTIONS[name](**kwargs) for name, kwargs in values.items() if kwargs}
+    cfg = ExperimentConfig(**top, **sections)
     cfg.validate()
     return cfg
 
@@ -323,12 +314,7 @@ def load_config(path, apply_env_seed: bool = True) -> ExperimentConfig:
     with open(path) as fh:
         cfg = config_from_mapping(parse_config_text(fh.read()))
     if apply_env_seed and os.environ.get(SEED_ENV_VAR):
-        try:
-            seed = int(os.environ[SEED_ENV_VAR])
-        except ValueError:
-            raise ConfigError(
-                f"{SEED_ENV_VAR} must be an integer, got {os.environ[SEED_ENV_VAR]!r}"
-            ) from None
+        seed = _parse_value(SEED_ENV_VAR, os.environ[SEED_ENV_VAR], _KEYS["seed"][2])
         cfg = replace(cfg, seed=seed)
         cfg.validate()
     return cfg
@@ -336,24 +322,18 @@ def load_config(path, apply_env_seed: bool = True) -> ExperimentConfig:
 
 def config_to_flat(cfg: ExperimentConfig) -> dict[str, object]:
     """Flatten a config back to dotted keys (report echo)."""
-    out: dict[str, object] = {}
-    for f in fields(ExperimentConfig):
-        value = getattr(cfg, f.name)
-        if f.name in _SECTIONS:
-            for sub in fields(value):
-                entry = getattr(value, sub.name)
-                if isinstance(entry, tuple):
-                    entry = ",".join(repr(float(v)) for v in entry)
-                out[f"{f.name}.{sub.name}"] = entry
-        else:
-            out[f.name] = value
-    return out
+    return {
+        key: ",".join(repr(float(v)) for v in _get(cfg, key)) if kind is tuple else _get(cfg, key)
+        for key, (_, _, kind) in _KEYS.items()
+    }
 
 
 def apply_override(cfg: ExperimentConfig, key: str, raw_value: str) -> ExperimentConfig:
     """One dotted-key override (sweep support); returns a validated copy."""
-    flat = {k: ("" if v is None else str(v)) for k, v in config_to_flat(cfg).items()}
-    flat = {k: v for k, v in flat.items() if v != ""}
-    # booleans flatten as 'True'/'False' which _parse_value accepts
-    flat[key] = raw_value
-    return config_from_mapping(flat)
+    section, name, kind = _lookup(key)
+    value = _parse_value(key, str(raw_value), kind)
+    if section:
+        value = replace(getattr(cfg, section), **{name: value})
+    cfg = replace(cfg, **{section or name: value})
+    cfg.validate()
+    return cfg

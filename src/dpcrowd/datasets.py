@@ -112,24 +112,24 @@ def _raise_first_bad_cell(rows: list[list[str]], start: int, width: int) -> None
 def load_csv(path) -> StreamPrefix:
     """Read a (T, d) stream: one row per timestamp, one column per dimension.
 
-    A header row is detected by any non-numeric cell in the first row and
-    skipped. Ragged or non-numeric data raises CsvFormatError naming the row.
+    A first row in which no cell is a number is a header and is skipped; a
+    first row that mixes numbers and text is data with a bad cell. Ragged or
+    non-numeric data raises CsvFormatError naming the row.
     """
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
 
-    def _numeric_row(cells: list[str]) -> bool:
+    def _is_number(cell: str) -> bool:
         try:
-            for cell in cells:
-                float(cell)
+            float(cell)
         except ValueError:
             return False
         return True
 
     start = 0
-    if not _numeric_row(rows[0]):
+    if not any(map(_is_number, rows[0])):
         start = 1
         if len(rows) == 1:
             raise CsvFormatError(f"{path}: header only, no data rows")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "NonFiniteStreamError",
     "ProcessModel",
     "StreamPrefix",
     "partition_users",
@@ -80,6 +81,10 @@ def partition_users(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return rng.multinomial(n, np.full(m, 1.0 / m))
 
 
+class NonFiniteStreamError(ValueError):
+    """A stream holds a NaN or infinite value, as one that overflowed does."""
+
+
 @dataclass(frozen=True)
 class StreamPrefix:
     """A finite run of true statistics, one row per timestamp."""
@@ -93,7 +98,7 @@ class StreamPrefix:
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError("stream values must be a (T, d) array with T, d >= 1")
         if not np.all(np.isfinite(v)):
-            raise ValueError("stream values must be finite")
+            raise NonFiniteStreamError("stream values must be finite")
         object.__setattr__(self, "values", v)
 
     @property

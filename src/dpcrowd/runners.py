@@ -17,10 +17,10 @@ from operator import itemgetter
 import numpy as np
 
 from . import kcif
-from .config import ExperimentConfig, ConfigError
+from .config import _POLICIES, ConfigError, ExperimentConfig, _Policy
 from .datasets import build_transition, generate_stream, load_csv
 from .grouping import GroupingThresholds, group_regions, perturb_groups, predict_region
-from .model import ProcessModel, partition_users
+from .model import NonFiniteStreamError, ProcessModel, partition_users
 from .netsim import CommStats, TopologySchedule, _delivery_latency, degrees, \
     flood_payload_bytes, flood_reachability, message_num_bytes
 from .privacy import BudgetError, PrivacyLedger, allocate_adaptive, allocate_uniform, \
@@ -34,18 +34,9 @@ __all__ = [
     "run_experiment",
 ]
 
-@dataclass(frozen=True)
-class _Policy:
-    private: bool  # perturbed, budget-charged observations
-    w_event: bool  # ledger window w (w-event), else the whole run (user-level, w = T)
-    adaptive: bool  # w-event budget allocation, budget-aware intervals, grouping
-    communicate: bool  # one-hop consensus exchange
-    flood: bool  # network-wide flooding and unweighted averaging
-    window_restart: bool  # restart filters/schedules every w timestamps
-
 
 class RunDivergedError(RuntimeError):
-    """A run finished with a non-finite release, so it has no report."""
+    """A run reached a non-finite release or feedback error, so it has no report."""
 
 
 @dataclass
@@ -61,18 +52,6 @@ class RunResult:
     sampled: np.ndarray  # (m, T, d) bool: fresh-observation timestamps per dimension
     stats: CommStats
     ledgers: list[PrivacyLedger] | None
-
-    @property
-    def m(self) -> int:
-        return self.releases.shape[0]
-
-    @property
-    def timestamps(self) -> int:
-        return self.releases.shape[1]
-
-    @property
-    def d(self) -> int:
-        return self.releases.shape[2]
 
     def verify(self) -> None:
         """Completeness and budget soundness; raises on violation."""
@@ -97,6 +76,11 @@ class RunResult:
 
 def _build_process(cfg: ExperimentConfig) -> ProcessModel:
     transition = build_transition(cfg.model.d, cfg.model.a, cfg.model.a_offdiag)
+    if not np.isfinite(transition).all():  # model.a - model.a_offdiag overflowed
+        raise ConfigError(
+            f"model.a = {cfg.model.a:g} and model.a_offdiag = {cfg.model.a_offdiag:g} give"
+            " a non-finite transition matrix"
+        )
     return ProcessModel(transition=transition, noise_var=cfg.model.q)
 
 
@@ -112,9 +96,15 @@ def _make_truth(cfg: ExperimentConfig, model: ProcessModel, rng: np.random.Gener
                 f"data file has {stream.timestamps} rows but timestamps = {cfg.timestamps}"
             )
         return stream.values[: cfg.timestamps].copy()
-    return generate_stream(
-        model, cfg.data.initial, cfg.timestamps, rng, clamp=cfg.data.clamp
-    ).values
+    try:
+        return generate_stream(
+            model, cfg.data.initial, cfg.timestamps, rng, clamp=cfg.data.clamp
+        ).values
+    except NonFiniteStreamError:
+        raise ConfigError(
+            f"model.a = {cfg.model.a:g} and model.a_offdiag = {cfg.model.a_offdiag:g} generate"
+            f" a non-finite stream over {cfg.timestamps} timestamps"
+        ) from None
 
 
 def _planned_samples(mode: str, length: int, interval: int, fraction: float) -> int:
@@ -129,6 +119,11 @@ def _grouping_thresholds(cfg: ExperimentConfig) -> GroupingThresholds:
     eps_avg = cfg.epsilon / max(cfg.w, 1)
     eta1 = cfg.grouping.eta1
     if eta1 is None:
+        if eps_avg == 0.0:
+            raise ConfigError(
+                f"epsilon / w underflows to 0 (epsilon = {cfg.epsilon!r}, w = {cfg.w}), so the"
+                " default grouping.eta1 has no value"
+            )
         eta1 = 2.0 * math.sqrt(2.0) * cfg.sensitivity_c / eps_avg
     eta3 = cfg.grouping.eta3
     if eta3 is None:
@@ -433,6 +428,11 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                         schedule.note_sampled(t)
                     else:
                         err = feedback_error(prior.item(i, k), posterior.item(i, k), pid_delta)
+                        if not math.isfinite(err):
+                            raise RunDivergedError(
+                                f"run diverged: non-finite feedback error {err} at server {i},"
+                                f" t={t}, dimension {k}"
+                            )
                         control = pid_row[k].update(err, t)
                         if adaptive:
                             interval = next_interval_plus(
@@ -456,37 +456,6 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     )
     result.verify()
     return result
-
-
-# A non-private policy runs on raw aggregates, sampled every timestamp.
-# adaptive turns on the budget-driven allocation, the budget-aware interval
-# law and (unless grouping.enabled is false) dynamic grouping.
-_POLICIES = {
-    "nonprivate": _Policy(
-        private=False, w_event=False, adaptive=False, communicate=True, flood=False,
-        window_restart=False,
-    ),
-    "dpcrowd": _Policy(
-        private=True, w_event=False, adaptive=False, communicate=True, flood=False,
-        window_restart=False,
-    ),
-    "fast": _Policy(
-        private=True, w_event=False, adaptive=False, communicate=False, flood=False,
-        window_restart=False,
-    ),
-    "dfast": _Policy(
-        private=True, w_event=False, adaptive=False, communicate=False, flood=True,
-        window_restart=False,
-    ),
-    "dpcrowd_plus": _Policy(
-        private=True, w_event=True, adaptive=True, communicate=True, flood=False,
-        window_restart=False,
-    ),
-    "dpcrowd_w": _Policy(
-        private=True, w_event=True, adaptive=False, communicate=True, flood=False,
-        window_restart=True,
-    ),
-}
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:

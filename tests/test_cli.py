@@ -1,11 +1,19 @@
 import csv
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dpcrowd.cli import expand_runs, main
-from dpcrowd.config import ExperimentConfig
+from dpcrowd.config import _KEYS, ALGORITHMS, ExperimentConfig, config_from_mapping, \
+    config_to_flat, parse_config_text
 from dpcrowd.datasets import load_csv
+
+LINEAR_DEMO = Path(__file__).resolve().parents[1] / "data" / "linear_demo.csv"
 
 
 BASE_CFG = """
@@ -302,3 +310,153 @@ def test_negative_theta_is_diagnosed(tmp_path, capsys, lines):
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert "pid.theta must be >= 0, got -1.0" in capsys.readouterr().err
     assert not out.exists()
+
+
+# The shape of the extreme-value probe: every numeric key set to 0, +-5e-324,
+# +-1e300 or -1 (int keys -1, 0, 1, 2) on dpcrowd_plus, dpcrowd_w and dfast.
+PROBE_CFG = """
+seed = 0
+timestamps = 40
+users = 1000
+net.m = 4
+model.d = 2
+w = 5
+"""
+
+
+def _run_diagnosed(tmp_path, capsys, text):
+    """Run a config that must end in exit 2 with no report; returns stderr."""
+    cfg = _write_cfg(tmp_path, text)
+    out = tmp_path / "r.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("algorithm", ["dpcrowd_plus", "dpcrowd_w", "dfast"])
+@pytest.mark.parametrize("key", ["model.a", "model.a_offdiag"])
+def test_overflowing_stream_is_diagnosed(tmp_path, capsys, algorithm, key):
+    # used to end in "ValueError: stream values must be finite"
+    err = _run_diagnosed(tmp_path, capsys, PROBE_CFG + f"algorithm = {algorithm}\n{key} = 1e300\n")
+    assert "model.a = " in err and "model.a_offdiag = " in err and "non-finite stream" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_transition_is_diagnosed(tmp_path, capsys):
+    # model.a - model.a_offdiag overflows; used to end in a ValueError
+    err = _run_diagnosed(tmp_path, capsys, PROBE_CFG + "algorithm = dpcrowd_plus\n"
+                         "model.a = 1e308\nmodel.a_offdiag = -1e308\n")
+    assert "non-finite transition matrix" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("lines", [
+    "algorithm = dpcrowd_plus\nmu = 5e-324\n",
+    "algorithm = dpcrowd_plus\np_max = 5e-324\n",
+    "algorithm = dpcrowd_w\nepsilon = 5e-324\n",
+    "algorithm = dfast\nmodel.a_offdiag = -1e300\n",
+    f"algorithm = dpcrowd\nmodel.d = 1\ndata.source = csv\ndata.path = {LINEAR_DEMO}\n"
+    "model.a = 1e50\n",
+], ids=["plus_subnormal_mu", "plus_subnormal_p_max", "w_subnormal_epsilon",
+        "dfast_negative_coupling", "csv_large_transition"])
+def test_diverging_feedback_is_diagnosed(tmp_path, capsys, lines):
+    # used to end in "ValueError: feedback error must be finite" in PidController.update
+    err = _run_diagnosed(tmp_path, capsys, PROBE_CFG + lines)
+    assert "run diverged: non-finite feedback error" in err
+    assert "server" in err and "t=" in err and "dimension" in err
+
+
+def test_underflowing_window_budget_is_diagnosed(tmp_path, capsys):
+    # epsilon / w underflowed to 0 and the default grouping.eta1 divided by it
+    err = _run_diagnosed(tmp_path, capsys, PROBE_CFG + "algorithm = dpcrowd_plus\n"
+                         "epsilon = 5e-324\n")
+    assert "epsilon / w underflows to 0" in err
+
+
+# --------------------------------------------------------------- schema fuzz
+
+FUZZ_CFG = PROBE_CFG + "algorithm = dpcrowd_plus\n"
+_FUZZ_BASE = config_to_flat(config_from_mapping(parse_config_text(FUZZ_CFG)))
+FUZZ_FLOATS = ("0", "5e-324", "-5e-324", "1e300", "-1e300", "-1")
+# small ints only, so that no run allocates large arrays
+FUZZ_INTS = ("-1", "0", "1", "2")
+FUZZ_TEXT = {
+    "algorithm": ALGORITHMS + ("bogus",),
+    "data.source": ("synthetic", "csv", "bogus"),
+    "data.path": (str(LINEAR_DEMO), "", "missing.csv"),
+    "sampling.mode": ("adaptive", "fixed", "bogus"),
+}
+
+
+def _fuzz_values(key):
+    """A key's candidate raw values, its value in FUZZ_CFG among them."""
+    kind = _KEYS[key][2]
+    if kind is bool:
+        choices = st.sampled_from(("true", "false"))
+    elif kind is int:
+        choices = st.sampled_from(FUZZ_INTS)
+    elif kind is float:
+        choices = st.sampled_from(FUZZ_FLOATS)
+    elif kind is tuple:
+        choices = st.lists(st.sampled_from(FUZZ_FLOATS), min_size=1, max_size=2).map(",".join)
+    else:
+        choices = st.sampled_from(FUZZ_TEXT.get(key, ("", "x")))
+    default = _FUZZ_BASE[key]
+    if default is None:  # unset optional key: leaving it out is its default
+        return choices
+    return choices | st.just(str(default))
+
+
+# the algorithm decides which engine paths run, so every example draws it
+_fuzz_overrides = st.lists(st.sampled_from(sorted(_KEYS)), max_size=6, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({key: _fuzz_values(key) for key in ["algorithm", *keys]})
+)
+
+# the 17 runs of the probe that ended in a traceback, and two more causes
+_PROBE_FAILURES = [
+    ("dpcrowd_plus", "epsilon", "5e-324"), ("dpcrowd_plus", "mu", "5e-324"),
+    ("dpcrowd_plus", "p_max", "5e-324"), ("dpcrowd_plus", "eps_max_fraction", "5e-324"),
+    ("dpcrowd_plus", "model.a", "1e300"), ("dpcrowd_plus", "model.a", "-1e300"),
+    ("dpcrowd_plus", "model.a_offdiag", "1e300"), ("dpcrowd_plus", "model.a_offdiag", "-1e300"),
+    ("dpcrowd_w", "epsilon", "5e-324"),
+    ("dpcrowd_w", "model.a", "1e300"), ("dpcrowd_w", "model.a", "-1e300"),
+    ("dpcrowd_w", "model.a_offdiag", "1e300"), ("dpcrowd_w", "model.a_offdiag", "-1e300"),
+    ("dfast", "model.a", "1e300"), ("dfast", "model.a", "-1e300"),
+    ("dfast", "model.a_offdiag", "1e300"), ("dfast", "model.a_offdiag", "-1e300"),
+]
+
+
+def _with_examples(test):
+    for algorithm, key, value in _PROBE_FAILURES:
+        test = example(overrides={"algorithm": algorithm, key: value})(test)
+    test = example(overrides={"model.a": "1e308", "model.a_offdiag": "-1e308"})(test)
+    return example(overrides={"algorithm": "dpcrowd", "model.d": "1", "data.source": "csv",
+                              "data.path": str(LINEAR_DEMO), "model.a": "1e50"})(test)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"report holds {name}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(overrides=_fuzz_overrides)
+@_with_examples
+def test_any_small_config_runs_or_is_diagnosed(overrides):
+    # every key of the schema is drawn; a run ends in exit 0 with a finite
+    # report or in a diagnosed exit 2 with none, never in a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text(FUZZ_CFG + "".join(f"{k} = {v}\n" for k, v in overrides.items()))
+        out, trace = Path(tmp) / "r.json", Path(tmp) / "t.csv"
+        code = main(["run", str(cfg), "--out", str(out), "--format", "json",
+                     "--trace", str(trace)])
+        assert code in (0, 2)
+        if code == 2:
+            assert not out.exists() and not trace.exists()
+            return
+        json.loads(out.read_text(), parse_constant=_reject_constant)
+        with open(trace, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)

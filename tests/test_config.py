@@ -1,6 +1,11 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from dpcrowd.config import (
+    _KEYS,
+    ALGORITHMS,
     ConfigError,
     ExperimentConfig,
     SEED_ENV_VAR,
@@ -10,6 +15,8 @@ from dpcrowd.config import (
     load_config,
     parse_config_text,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_parse_flat_keys_and_comments():
@@ -72,6 +79,14 @@ def test_negative_theta_rejected():
         config_from_mapping({"algorithm": "dpcrowd", "pid.theta": "-1"})
     assert config_from_mapping({"algorithm": "dpcrowd", "pid.theta": "0"}).pid.theta == 0.0
 
+
+@pytest.mark.parametrize("key", ["pid.cp", "pid.ci", "pid.cd"])
+def test_negative_pid_gain_rejected(key):
+    # a negative gain inverts the feedback, as a negative theta does
+    with pytest.raises(ConfigError, match=rf"^{key} must be >= 0, got -1e\+308$"):
+        config_from_mapping({"algorithm": "dpcrowd", key: "-1e308"})
+    assert getattr(config_from_mapping({"algorithm": "dpcrowd", key: "0"}).pid, key[4:]) == 0.0
+
 def test_negative_env_seed_rejected(tmp_path, monkeypatch):
     p = tmp_path / "c.cfg"
     p.write_text("algorithm = fast\n")
@@ -125,7 +140,7 @@ def test_env_seed_must_be_integer(tmp_path, monkeypatch):
     p = tmp_path / "c.cfg"
     p.write_text("algorithm = fast\n")
     monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^DPCROWD_SEED: expected an integer, got 'not-a-number'$"):
         load_config(p)
 
 
@@ -151,13 +166,50 @@ def test_apply_override_nested_key():
     assert swept.net.rho == 0.9
 
 
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.cfg")), ids=lambda p: p.stem)
+def test_apply_override_matches_a_full_reparse(path):
+    # overriding one key gives the config that parsing the whole file with
+    # that key changed gives
+    cfg = load_config(path, apply_env_seed=False)
+    flat = {k: str(v) for k, v in config_to_flat(cfg).items() if v is not None}
+    for key, value in [("epsilon", "0.25"), ("seed", "12"), ("net.rho", "0.9"), ("net.seed", "3"),
+                       ("model.q", "7"), ("grouping.enabled", "off"), ("data.path", "x.csv")]:
+        assert apply_override(cfg, key, value) == config_from_mapping({**flat, key: value})
+
+
+def test_key_table_is_the_echo_order_and_algorithms_keep_their_order():
+    assert list(config_to_flat(ExperimentConfig())) == list(_KEYS)
+    assert ALGORITHMS == ("nonprivate", "dpcrowd", "dpcrowd_plus", "dpcrowd_w", "fast", "dfast")
+
+
+def test_readme_config_table_lists_every_key_once():
+    # one row may name several keys (`pid.cp`, `pid.ci`, `pid.cd`)
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
+    rows = table.splitlines()[1:]
+    listed = [name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert sorted(listed) == sorted(_KEYS)
+
+
 @pytest.mark.parametrize("key, word", [
     ("timestamps", "yes"), ("net.m", "on"), ("epsilon", "true"), ("net.rho", "off"),
     ("pid.ti", "false"), ("model.a", "no"),
 ])
 def test_boolean_word_rejected_for_numeric_key(key, word):
-    with pytest.raises(ConfigError, match="expected an? (integer|number)"):
+    with pytest.raises(ConfigError, match=rf"^{key}: expected an? (integer|number), got '{word}'$"):
         config_from_mapping({"algorithm": "fast", key: word})
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("net.dynamic", "maybe", "net.dynamic: expected a boolean, got 'maybe'"),
+    ("model.q", "1,x", "model.q: expected comma-separated numbers"),
+    ("net.m", "4.5", "net.m: expected an integer, got '4.5'"),
+])
+def test_parse_error_names_its_key(key, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config_from_mapping({"algorithm": "fast", key: value})
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        apply_override(ExperimentConfig(), key, value)
 
 
 def test_boolean_words_parse_only_for_bool_keys():

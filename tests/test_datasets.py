@@ -145,6 +145,8 @@ def test_load_csv_rejects_non_numeric_body(tmp_path):
     ("1,2\n3,4,5\n", "row 2: expected 2 columns, got 3"),
     # the header is row 1; row 3 is named, not the ragged row 5 after it
     ("x1,x2\n1,2\n3,x\n4,5\n6\n", "row 3, column 2: 'x' is not a number"),
+    # a first row with any number in it is data, not a header
+    ("1,x\n2,3\n4,5\n", "row 1, column 2: 'x' is not a number"),
     ("1, 2\n3, -4 \n", "row 2, column 2: counts must be non-negative, got '-4'"),
     ("1\n y \n", "row 2, column 1: 'y' is not a number"),
     (" 1 , 2\n3 ,\t4 \n", None),

@@ -7,7 +7,12 @@ CHANGES.md; otherwise it is a regression.
 
 import json
 
+import pytest
+
 import freeze_golden_grid as golden
+
+# a numpy divide, overflow or invalid-value warning in a grid run fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _mismatches(frozen: dict, current: dict) -> list[str]:
