@@ -87,6 +87,7 @@ def test_negative_pid_gain_rejected(key):
         config_from_mapping({"algorithm": "dpcrowd", key: "-1e308"})
     assert getattr(config_from_mapping({"algorithm": "dpcrowd", key: "0"}).pid, key[4:]) == 0.0
 
+
 def test_negative_env_seed_rejected(tmp_path, monkeypatch):
     p = tmp_path / "c.cfg"
     p.write_text("algorithm = fast\n")
