@@ -1,8 +1,8 @@
 """Command-line entry point: run experiments, sweep parameters, generate data.
 
 Exit status is 0 on success and 2 on any diagnosed failure (bad config,
-unreadable data, exhausted budget, a diverged run), with the reason printed
-to stderr.
+unreadable data, exhausted budget, a diverged run, a numpy RuntimeWarning
+raised as an error), with the reason printed to stderr.
 """
 
 from __future__ import annotations
@@ -130,6 +130,11 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeWarning as exc:
+        # with warnings as errors (PYTHONWARNINGS=error) numpy's overflow or
+        # invalid-value warning ends a diverging run before its own check does
+        print(f"error: RuntimeWarning: {exc}", file=sys.stderr)
         return 2
 
 

@@ -8,6 +8,8 @@ to all neighbors once. Packets count delivered edge-directions.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,15 +116,28 @@ def flood_payload_bytes(d: int) -> int:
     return HEADER_BYTES + 8 * d
 
 
-def _delivery_latency(counts, rng: np.random.Generator, center: float) -> float:
+def _delivery_latency(
+    counts, rng: np.random.Generator, center: float, beat: float = -math.inf
+) -> float:
     """Sum over rounds of the max per-delivery latency, uniform within +/-20% of the center.
 
     counts holds one timestamp's deliveries per round; a round with none
-    draws nothing. All draws come from one buffer, and each round's maximum
-    is mapped to a latency the way rng.uniform maps a draw (low + range * u),
-    which is monotone, so the result equals a max over per-round uniform draws.
-    A single round (every one-hop timestamp) skips the round split and gives
-    the same float from the same stream positions.
+    draws nothing. The rounds take consecutive stream positions, and each
+    round's maximum u is mapped to a latency the way rng.uniform maps a draw
+    (low + span * u), so the result equals a max over per-round uniform draws.
+
+    A caller that keeps only a running maximum passes it as `beat`. Rounds
+    are then drawn smallest first, each from its own stream positions, and
+    after each one the sum is bounded, in round order, with every undrawn
+    round's u set to 1.0. IEEE rounding is monotone and every u is below
+    1.0, so the bound is at least the exact sum; once it is <= beat no
+    undrawn round can lift the maximum, and the bound is returned. So the
+    result is exact whenever it exceeds beat and is <= beat otherwise. With
+    every round drawn the bound is the exact sum. Either way rng is left
+    past all of the timestamp's draws, as if each had been taken.
+
+    rng must wrap PCG64, as default_rng's do: random() takes one 64-bit
+    output per double, so PCG64.advance(n) skips exactly n doubles.
     """
     counts = [int(c) for c in counts if c]
     if not counts:
@@ -131,9 +146,25 @@ def _delivery_latency(counts, rng: np.random.Generator, center: float) -> float:
     span = 1.2 * center - low
     if len(counts) == 1:
         return low + span * float(rng.random(counts[0]).max())
-    draws = rng.random(sum(counts))
-    starts = np.cumsum([0] + counts[:-1])
-    return sum(low + span * float(u) for u in np.maximum.reduceat(draws, starts))
+    bit_gen = rng.bit_generator
+    saved = bit_gen.state
+    starts = list(itertools.accumulate(counts, initial=0))
+    peaks = [1.0] * len(counts)
+    at = 0  # stream position past the saved state
+    for r in sorted(range(len(counts)), key=counts.__getitem__):
+        if sum(low + span * u for u in peaks) <= beat:
+            break
+        if starts[r] < at:
+            bit_gen.state = saved
+            at = 0
+        bit_gen.advance(starts[r] - at)
+        peaks[r] = float(rng.random(counts[r]).max())
+        at = starts[r + 1]
+    bit_gen.advance(starts[-1] - at)
+    if saved["has_uint32"]:
+        # advance drops the buffered 32-bit half that random() leaves alone
+        bit_gen.state = {**bit_gen.state, "has_uint32": 1, "uinteger": saved["uinteger"]}
+    return sum(low + span * u for u in peaks)
 
 
 def flood_reachability(adj: np.ndarray) -> tuple[np.ndarray, int, int, list[int]]:

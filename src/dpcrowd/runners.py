@@ -295,6 +295,8 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                 # identical averages, so sum each distinct set once in index
                 # order instead of letting a blocked matmul pick the order
                 uniq, inverse = np.unique(known, axis=0, return_inverse=True)
+                groups = [np.flatnonzero(row) for row in uniq]
+                sums = np.empty((len(groups), d))
         coeff_col, coeff_sq_col, sensing = coeffs[tidx], coeff_sqs[tidx], sensings[tidx]
         # Raw aggregates: consumed by the perturbation/selection block below
         # and by nothing else in private modes.
@@ -402,13 +404,15 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
 
         release_t = posterior
         if policy.flood and m > 1:
-            sums = np.stack([posterior[row].sum(axis=0) for row in uniq])
+            for idx, total in zip(groups, sums):
+                np.sum(posterior[idx], axis=0, out=total)
             release_t = sums[inverse] / counts
             rounds = flood_rounds
         elif policy.communicate:
             stats.broadcasts += active
         packets = sum(rounds)
-        latency = _delivery_latency(rounds, latency_rng, latency_center)
+        # only a latency above the running maximum changes the report
+        latency = _delivery_latency(rounds, latency_rng, latency_center, stats.max_latency_ms)
         stats.record_round(packets, packets * packet_bytes, latency)
 
         if cfg.kcif.clamp_releases:

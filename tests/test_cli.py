@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -365,6 +366,17 @@ def test_diverging_feedback_is_diagnosed(tmp_path, capsys, lines):
     err = _run_diagnosed(tmp_path, capsys, PROBE_CFG + lines)
     assert "run diverged: non-finite feedback error" in err
     assert "server" in err and "t=" in err and "dimension" in err
+
+
+def test_runtime_warning_raised_as_error_is_diagnosed(tmp_path, capsys):
+    # with warnings as errors, numpy's overflow warning in
+    # kcif.effective_variance (a subnormal grant) used to end in a traceback
+    # before the engine's own divergence check ran
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        err = _run_diagnosed(tmp_path, capsys, PROBE_CFG + "algorithm = dpcrowd_plus\n"
+                             "mu = 5e-324\n")
+    assert err == "error: RuntimeWarning: overflow encountered in divide\n"
 
 
 def test_underflowing_window_budget_is_diagnosed(tmp_path, capsys):

@@ -1,7 +1,11 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dpcrowd import netsim, runners
 from dpcrowd.config import ExperimentConfig, ModelConfig, NetConfig
 from dpcrowd.netsim import (
     CommStats,
@@ -141,11 +145,106 @@ def test_batched_latency_matches_per_round_draws(counts, center, seed):
     # stream positions, as one uniform draw per round
     per_round = np.random.default_rng(seed)
     batched = np.random.default_rng(seed)
-    want = sum(
-        float(per_round.uniform(0.8 * center, 1.2 * center, size=n).max()) for n in counts if n
-    )
+    want = _per_round_latency(counts, per_round, center)
     assert _delivery_latency(counts, batched, center) == want
     assert batched.random() == per_round.random()
+
+
+def _per_round_latency(counts, rng, center):
+    """The reference: every delivery drawn, one uniform draw per round."""
+    return float(
+        sum(float(rng.uniform(0.8 * center, 1.2 * center, size=n).max()) for n in counts if n)
+    )
+
+
+_BEATS = ("-inf", "zero", "exact", "below", "above", "ceiling")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    counts=st.lists(st.integers(0, 400), min_size=2, max_size=8),
+    center=st.floats(1e-3, 1e4),
+    seed=st.integers(0, 2**32 - 1),
+    beat_kind=st.sampled_from(_BEATS),
+    buffered=st.booleans(),
+)
+@example(counts=[5, 400, 3], center=100.0, seed=1, beat_kind="below", buffered=False)
+@example(counts=[5, 400, 3], center=100.0, seed=1, beat_kind="exact", buffered=True)
+def test_lazy_latency_is_exact_above_the_value_to_beat(counts, center, seed, beat_kind, buffered):
+    full = np.random.default_rng(seed)
+    lazy = np.random.default_rng(seed)
+    if buffered:  # a buffered 32-bit half, which random() leaves alone
+        full.integers(2**32, dtype=np.uint32)
+        lazy.integers(2**32, dtype=np.uint32)
+    exact = _per_round_latency(counts, full, center)
+    beat = {
+        "-inf": -math.inf,
+        "zero": 0.0,
+        "exact": exact,
+        "below": math.nextafter(exact, -math.inf),
+        "above": math.nextafter(exact, math.inf),
+        "ceiling": 1.2 * center * len(counts),
+    }[beat_kind]
+    got = _delivery_latency(counts, lazy, center, beat)
+    if exact > beat:
+        assert got.hex() == exact.hex()
+    else:
+        assert got <= beat
+    # the stream is left past every draw of the timestamp either way
+    assert lazy.bit_generator.state == full.bit_generator.state
+    assert lazy.random() == full.random()
+
+
+def _dynamic_flood(**net):
+    return ExperimentConfig(
+        algorithm="dfast", seed=2, timestamps=200, users=5000, model=ModelConfig(q=(1e3,)),
+        net=NetConfig(m=20, rho=0.3, seed=4, **net),
+    )
+
+
+def test_lazy_maximum_keeps_dynamic_flood_reports(monkeypatch):
+    # the engine passes its running maximum as the value to beat; drawing
+    # every delivery instead must give the same report, bit for bit
+    cfg = _dynamic_flood(dynamic=True)
+    lazy = run_experiment(cfg)
+    full_draw = netsim._delivery_latency
+    monkeypatch.setattr(runners, "_delivery_latency",
+                        lambda counts, rng, center, beat: full_draw(counts, rng, center))
+    full = run_experiment(cfg)
+    assert lazy.stats.max_latency_ms.hex() == full.stats.max_latency_ms.hex()
+    assert lazy.stats.packets_by_t == full.stats.packets_by_t
+    assert len(set(full.stats.packets_by_t)) > 1  # the round lists did change
+    assert np.array_equal(lazy.releases, full.releases)
+
+
+class _CountingRng:
+    """A Generator stand-in that counts the uniforms drawn through it."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.bit_generator = rng.bit_generator
+        self.drawn = 0
+
+    def random(self, size):
+        self.drawn += size
+        return self._rng.random(size)
+
+
+def test_static_flood_draws_few_latencies(monkeypatch):
+    # after the first timestamp a static flood repeats its rounds, and the
+    # smallest round's draw almost always settles that the maximum stands
+    counting = {}
+    lazy_draw = netsim._delivery_latency
+
+    def draw(counts, rng, center, beat):
+        wrapped = counting.setdefault(id(rng), _CountingRng(rng))
+        return lazy_draw(counts, wrapped, center, beat)
+
+    monkeypatch.setattr(runners, "_delivery_latency", draw)
+    cfg = replace(_dynamic_flood(), timestamps=1000, net=NetConfig(m=50, rho=0.3, seed=4))
+    res = run_experiment(cfg)
+    (wrapped,) = counting.values()
+    assert 0 < wrapped.drawn < 0.05 * res.stats.packets
 
 
 def test_message_byte_size():
