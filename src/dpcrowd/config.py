@@ -14,6 +14,8 @@ import math
 import os
 from dataclasses import MISSING, dataclass, field, fields, replace
 
+from .privacy import allocate_adaptive, allocate_uniform
+
 __all__ = [
     "ConfigError", "ALGORITHMS", "SEED_ENV_VAR", "ModelConfig", "DataConfig", "NetConfig",
     "SamplingConfig", "PidConfig", "GroupingConfig", "KcifConfig", "ExperimentConfig",
@@ -83,6 +85,12 @@ class SamplingConfig:
     mode: str = "adaptive"  # 'adaptive' | 'fixed'
     interval: int = 1
     max_fraction: float = 0.3
+
+    def planned_samples(self, length: int) -> int:
+        """Sampling-point budget of a uniform policy over `length` timestamps."""
+        if self.mode == "fixed":
+            return math.ceil(length / self.interval)
+        return max(1, math.floor(self.max_fraction * length))
 
 
 @dataclass(frozen=True)
@@ -222,6 +230,39 @@ class ExperimentConfig:
         if self.kcif.variance_floor <= 0:
             # R_hat is a divisor: a zero-user server's is 0 in non-private runs
             raise ConfigError("kcif.variance_floor must be positive")
+        # the default grouping.eta1 divides by the mean budget epsilon / w
+        eta1_default = policy.adaptive and self.grouping.enabled and self.grouping.eta1 is None
+        if eta1_default and self.epsilon / self.w == 0:
+            raise ConfigError(
+                f"epsilon / w underflows to 0 (epsilon = {self.epsilon!r}, w = {self.w}), so the"
+                " default grouping.eta1 has no value"
+            )
+        if policy.private:
+            self._check_first_grant(policy)
+
+    def _check_first_grant(self, policy: _Policy) -> None:
+        """Refuse a private run whose first sample's budget underflows to 0.
+
+        Every pair is due at t = 1, and no later grant is smaller: a later
+        uniform block plans no more samples than the first, and an adaptive
+        grant at interval 1 is the smallest share of a fresh window. A run
+        that cannot take that sample releases zeros and exits 0.
+        """
+        if policy.adaptive:
+            grant = allocate_adaptive(
+                self.epsilon, 1, self.mu, self.p_max, self.epsilon * self.eps_max_fraction
+            )
+            how = (f"min(mu * ln 2, p_max) * epsilon, at most eps_max_fraction * epsilon"
+                   f" (epsilon = {self.epsilon!r})")
+        else:
+            block = self.w if policy.window_restart else self.timestamps
+            planned = self.sampling.planned_samples(min(block, self.timestamps))
+            grant = allocate_uniform(self.epsilon, planned)
+            how = f"epsilon = {self.epsilon!r} over {planned} planned samples"
+        if grant == 0:
+            raise ConfigError(
+                f"the first sample's budget, {how}, underflows to 0, so the run could not sample"
+            )
 
 
 # section name -> its dataclass, in field order

@@ -84,9 +84,17 @@ def initialize(released, coefficient, rhat, transition_t, gain, process_var):
 def update_from_delta(prior, prior_var, fused_value, fused_weight, prior_delta, consensus_step):
     """Measurement-and-consensus update given a precomputed prior disagreement.
 
-    prior_delta = sum over broadcasting neighbors j of (prior_j - prior_own).
+    prior_delta = sum over broadcasting neighbors j of (prior_j - prior_own),
+    or None for a server that hears no neighbor's prior. The consensus term
+    gain * 0.0 is then a zero or NaN, and (consensus_step * prior_var) * 0.0
+    is the same one in fewer operations: both are NaN where prior_var is
+    not finite or consensus_step * prior_var overflows, since dividing by
+    |prior_var| + 1 >= 1 keeps a finite numerator finite and its sign, and
+    otherwise both are a zero of that numerator's sign.
     """
     posterior_var = 1.0 / (1.0 / prior_var + fused_weight)
+    posterior = prior + posterior_var * (fused_value - fused_weight * prior)
+    if prior_delta is None:
+        return posterior + consensus_step * prior_var * 0.0, posterior_var
     gain = consensus_step * prior_var / (np.abs(prior_var) + 1.0)
-    posterior = prior + posterior_var * (fused_value - fused_weight * prior) + gain * prior_delta
-    return posterior, posterior_var
+    return posterior + gain * prior_delta, posterior_var

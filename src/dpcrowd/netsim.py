@@ -22,6 +22,7 @@ __all__ = [
     "message_num_bytes",
     "flood_payload_bytes",
     "flood_reachability",
+    "LatencyPlan",
 ]
 
 # Wire sizes: every message starts with the sender and timestamp as uint32.
@@ -116,15 +117,37 @@ def flood_payload_bytes(d: int) -> int:
     return HEADER_BYTES + 8 * d
 
 
+@dataclass(frozen=True)
+class LatencyPlan:
+    """Multi-round deliveries laid out once for `_delivery_latency`.
+
+    counts keeps the rounds with deliveries, starts their first stream
+    positions (one double per delivery, so starts[-1] is the total) and
+    order their indices smallest first. A static flood repeats its rounds
+    every timestamp, so the engine builds its plan once per adjacency.
+    """
+
+    counts: tuple[int, ...]
+    starts: tuple[int, ...]
+    order: tuple[int, ...]
+
+    @classmethod
+    def of(cls, counts) -> LatencyPlan:
+        counts = tuple(int(c) for c in counts if c)
+        return cls(counts, tuple(itertools.accumulate(counts, initial=0)),
+                   tuple(sorted(range(len(counts)), key=counts.__getitem__)))
+
+
 def _delivery_latency(
     counts, rng: np.random.Generator, center: float, beat: float = -math.inf
 ) -> float:
     """Sum over rounds of the max per-delivery latency, uniform within +/-20% of the center.
 
-    counts holds one timestamp's deliveries per round; a round with none
-    draws nothing. The rounds take consecutive stream positions, and each
-    round's maximum u is mapped to a latency the way rng.uniform maps a draw
-    (low + span * u), so the result equals a max over per-round uniform draws.
+    counts holds one timestamp's deliveries per round, as a sequence or a
+    LatencyPlan; a round with none draws nothing. The rounds take
+    consecutive stream positions, and each round's maximum u is mapped to a
+    latency the way rng.uniform maps a draw (low + span * u), so the result
+    equals a max over per-round uniform draws.
 
     A caller that keeps only a running maximum passes it as `beat`. Rounds
     are then drawn smallest first, each from its own stream positions, and
@@ -137,34 +160,36 @@ def _delivery_latency(
     past all of the timestamp's draws, as if each had been taken.
 
     rng must wrap PCG64, as default_rng's do: random() takes one 64-bit
-    output per double, so PCG64.advance(n) skips exactly n doubles.
+    output per double, so PCG64.advance(n) skips exactly n doubles, and a
+    negative n steps back as exactly.
     """
-    counts = [int(c) for c in counts if c]
+    plan = counts if isinstance(counts, LatencyPlan) else None
+    counts = plan.counts if plan else [int(c) for c in counts if c]
     if not counts:
         return 0.0
     low = 0.8 * center
     span = 1.2 * center - low
     if len(counts) == 1:
         return low + span * float(rng.random(counts[0]).max())
+    plan = plan or LatencyPlan.of(counts)
+    starts = plan.starts
     bit_gen = rng.bit_generator
     saved = bit_gen.state
-    starts = list(itertools.accumulate(counts, initial=0))
-    peaks = [1.0] * len(counts)
+    # each round's term of the sum; low + span * 1.0 until the round is drawn
+    terms = [low + span] * len(counts)
     at = 0  # stream position past the saved state
-    for r in sorted(range(len(counts)), key=counts.__getitem__):
-        if sum(low + span * u for u in peaks) <= beat:
+    for r in plan.order:
+        if sum(terms) <= beat:
             break
-        if starts[r] < at:
-            bit_gen.state = saved
-            at = 0
         bit_gen.advance(starts[r] - at)
-        peaks[r] = float(rng.random(counts[r]).max())
+        terms[r] = low + span * float(rng.random(counts[r]).max())
         at = starts[r + 1]
-    bit_gen.advance(starts[-1] - at)
+    if at < starts[-1]:
+        bit_gen.advance(starts[-1] - at)
     if saved["has_uint32"]:
         # advance drops the buffered 32-bit half that random() leaves alone
         bit_gen.state = {**bit_gen.state, "has_uint32": 1, "uinteger": saved["uinteger"]}
-    return sum(low + span * u for u in peaks)
+    return sum(terms)
 
 
 def flood_reachability(adj: np.ndarray) -> tuple[np.ndarray, int, int, list[int]]:

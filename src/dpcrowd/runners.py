@@ -21,7 +21,7 @@ from .config import _POLICIES, ConfigError, ExperimentConfig, _Policy
 from .datasets import build_transition, generate_stream, load_csv
 from .grouping import GroupingThresholds, group_regions, perturb_groups, predict_region
 from .model import NonFiniteStreamError, ProcessModel, partition_users
-from .netsim import CommStats, TopologySchedule, _delivery_latency, degrees, \
+from .netsim import CommStats, LatencyPlan, TopologySchedule, _delivery_latency, degrees, \
     flood_payload_bytes, flood_reachability, message_num_bytes
 from .privacy import BudgetError, PrivacyLedger, allocate_adaptive, allocate_uniform, \
     perturb_count
@@ -107,23 +107,12 @@ def _make_truth(cfg: ExperimentConfig, model: ProcessModel, rng: np.random.Gener
         ) from None
 
 
-def _planned_samples(mode: str, length: int, interval: int, fraction: float) -> int:
-    """Sampling-point budget for one stream segment."""
-    if mode == "fixed":
-        return math.ceil(length / interval)
-    return max(1, math.floor(fraction * length))
-
-
 def _grouping_thresholds(cfg: ExperimentConfig) -> GroupingThresholds:
-    # eps_avg: the mean per-timestamp budget eps/w of a fully spent window.
+    # eps_avg: the mean per-timestamp budget eps/w of a fully spent window,
+    # positive here (ExperimentConfig.validate)
     eps_avg = cfg.epsilon / max(cfg.w, 1)
     eta1 = cfg.grouping.eta1
     if eta1 is None:
-        if eps_avg == 0.0:
-            raise ConfigError(
-                f"epsilon / w underflows to 0 (epsilon = {cfg.epsilon!r}, w = {cfg.w}), so the"
-                " default grouping.eta1 has no value"
-            )
         eta1 = 2.0 * math.sqrt(2.0) * cfg.sensitivity_c / eps_avg
     eta3 = cfg.grouping.eta3
     if eta3 is None:
@@ -203,20 +192,32 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
         x *= noise_scale[:, i]
         x += coeffs[:, i] * truth
     # per-timestamp rows; a frozen partition's are views of its one partition
+    sensing_parts = coeff_sqs * q_diag
     coeffs, coeff_sqs, sensings = (
         np.broadcast_to(a, (timestamps, m, a.shape[2]))
-        for a in (coeffs, coeff_sqs, coeff_sqs * q_diag)
+        for a in (coeffs, coeff_sqs, sensing_parts)
     )
+
+    def rhat_table(sensing: np.ndarray, eps: float) -> np.ndarray:
+        """max(R_hat, floor) of every pair at one budget, per partition row."""
+        rhat = kcif.effective_variance(sensing, np.full(sensing.shape, eps), sensitivity,
+                                       alpha=alpha)
+        return np.maximum(rhat, variance_floor)
+
+    # Every grant of a uniform policy in a block is eps_uniform, so its
+    # R_hat takes two values per pair and timestamp: this table's, for a
+    # pair observed without noise (eps = inf, as in a non-private run), and
+    # the block's granted table, built at each block start.
+    if not adaptive:
+        rhat_plain = np.broadcast_to(rhat_table(sensing_parts, math.inf), (timestamps, m, d))
 
     ledgers: list[PrivacyLedger] | None = None
     if private:
         ledger_w = cfg.w if policy.w_event else timestamps
         ledgers = [PrivacyLedger(epsilon, dims=d, w=ledger_w) for _ in range(m)]
     else:
-        # a non-private run observes every pair every timestamp; inf drops the
-        # perturbation term from R_hat
+        # a non-private run observes every pair every timestamp
         sampled = np.ones((m, d), dtype=bool)
-        eps_used = np.full((m, d), np.inf)
     eps_max = epsilon * cfg.eps_max_fraction
     thresholds = _grouping_thresholds(cfg) if grouping else None
     tau = cfg.grouping.tau
@@ -232,7 +233,6 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     broadcast_trace = np.full((m, timestamps), policy.flood)
     stats = CommStats(broadcasts=np.full(m, timestamps if policy.flood else 0, dtype=np.int64))
     packet_bytes = message_num_bytes(d) if policy.communicate else flood_payload_bytes(d)
-    no_delta = np.zeros((m, d))
 
     adj_needed = (policy.communicate or policy.flood) and m > 1
     # per-adjacency work runs once per adjacency array: once a run on a
@@ -246,14 +246,21 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
             # and PID state. Uniform allocation splits the budget evenly over
             # the block's planned samples and caps the schedules at that count;
             # adaptive allocation runs in infinite-stream mode with no cap.
+            block_start, block_rows = tidx, min(block_len, timestamps - tidx)
             if private:
                 cap = None
                 if not adaptive:
-                    cap = _planned_samples(
-                        cfg.sampling.mode, min(block_len, timestamps - tidx),
-                        cfg.sampling.interval, cfg.sampling.max_fraction,
-                    )
+                    cap = cfg.sampling.planned_samples(block_rows)
                     eps_uniform = allocate_uniform(epsilon, cap)
+                    # an underflowed eps_uniform grants nothing, so no pair
+                    # reads a granted table
+                    if eps_uniform > 0.0:
+                        parts = sensing_parts
+                        if len(parts) > 1:  # repartitioned: this block's rows
+                            parts = parts[block_start:block_start + block_rows]
+                        rhat_granted = np.broadcast_to(
+                            rhat_table(parts, eps_uniform), (block_rows, m, d)
+                        )
                 schedules = [
                     [
                         SamplingSchedule(
@@ -279,6 +286,7 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
             posterior = np.zeros((m, d))
             posterior_var = np.tile(kcif.uninformed_variance(q_diag), (m, 1))
             initialized = np.zeros((m, d), dtype=bool)
+            all_initialized = False
             last_rhat = np.full((m, d), np.inf)
 
         adj = topo.adjacency_at(t) if adj_needed else None
@@ -289,15 +297,16 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                 link = adj.astype(float)
                 degree = degrees(adj)
             else:
-                known, _, _, flood_rounds = flood_reachability(adj)
-                counts = known.sum(axis=1).astype(float)[:, None]
+                known, _, flood_packets, flood_rounds = flood_reachability(adj)
+                flood_plan = LatencyPlan.of(flood_rounds)
                 # servers holding the same payload set must release bitwise
                 # identical averages, so sum each distinct set once in index
                 # order instead of letting a blocked matmul pick the order
                 uniq, inverse = np.unique(known, axis=0, return_inverse=True)
                 groups = [np.flatnonzero(row) for row in uniq]
+                group_counts = uniq.sum(axis=1).astype(float)[:, None]
                 sums = np.empty((len(groups), d))
-        coeff_col, coeff_sq_col, sensing = coeffs[tidx], coeff_sqs[tidx], sensings[tidx]
+        coeff_col, coeff_sq_col = coeffs[tidx], coeff_sqs[tidx]
         # Raw aggregates: consumed by the perturbation/selection block below
         # and by nothing else in private modes.
         x_raw = obs_noise[:, tidx, :]
@@ -355,48 +364,62 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                 else:
                     for k in granted:
                         z_row[k] = perturb_count(x_row[k], sensitivity, grant_row[k], rng)
+            sampled = grants > 0.0
+
+        if adaptive:
             # every grant is positive; eps_used stays inf wherever no noise
             # was added, which drops the perturbation term from R_hat
-            sampled = grants > 0.0
             eps_used = np.where(sampled, grants, np.inf)
-
-        rhat = kcif.effective_variance(sensing, eps_used, sensitivity, alpha=alpha)
-        rhat = np.maximum(rhat, variance_floor)
+            rhat = kcif.effective_variance(sensings[tidx], eps_used, sensitivity, alpha=alpha)
+            rhat = np.maximum(rhat, variance_floor)
+        else:
+            rhat = rhat_plain[tidx]
+            if private and granted_by_server:
+                rhat = np.where(sampled, rhat_granted[tidx - block_start], rhat)
 
         prior, prior_var = kcif.predict(posterior, posterior_var, transition_t, gain, q_diag)
-        init_mask = sampled & ~initialized
-        if init_mask.any():
-            init_prior, init_var = kcif.initialize(z, coeff_col, rhat, transition_t, gain, q_diag)
-            prior = np.where(init_mask, init_prior, prior)
-            prior_var = np.where(init_mask, init_var, prior_var)
-            initialized |= sampled
+        if not all_initialized:
+            init_mask = sampled & ~initialized
+            if init_mask.any():
+                init_prior, init_var = kcif.initialize(
+                    z, coeff_col, rhat, transition_t, gain, q_diag
+                )
+                prior = np.where(init_mask, init_prior, prior)
+                prior_var = np.where(init_mask, init_var, prior_var)
+                initialized |= sampled
+                all_initialized = initialized.all()
 
         u = np.where(sampled, coeff_col * z / rhat, 0.0)
         weight = np.where(sampled, coeff_sq_col / rhat, 0.0)
+        # Without stale reuse no zero term is added: u + 0.0 would only turn
+        # a -0.0 into +0.0. The update's fused_value - fused_weight * prior
+        # then differs only in the sign of a zero, where fused_weight * prior
+        # is +0.0. A weight coeff^2 / R_hat is never -0.0, so there prior is
+        # +0.0 or positive, and prior plus a zero of either sign is prior:
+        # the posterior keeps its bits.
+        fused_value, fused_weight = u, weight
         if stale_self:
             # Local-only reuse of the stale value at its last effective variance.
             stale = ~sampled & initialized & np.isfinite(last_rhat)
-            stale_u = np.where(stale, coeff_col * z / last_rhat, 0.0)
-            stale_w = np.where(stale, coeff_sq_col / last_rhat, 0.0)
+            fused_value = u + np.where(stale, coeff_col * z / last_rhat, 0.0)
+            fused_weight = weight + np.where(stale, coeff_sq_col / last_rhat, 0.0)
             last_rhat = np.where(sampled, rhat, last_rhat)
-        else:
-            stale_u = stale_w = 0.0
 
-        active = sampled.any(axis=1)
-        # deliveries per round of this timestamp's traffic; none when silent
-        rounds: list[int] = []
-        if policy.communicate and m > 1:
-            fused_value = u + stale_u + link @ u
-            fused_weight = weight + stale_w + link @ weight
-            nbr_count = link @ active.astype(float)
-            prior_sum = link @ (prior * active[:, None])
-            prior_delta = prior_sum - nbr_count[:, None] * prior
-            rounds = [int(degree[active].sum())]
-            broadcast_trace[:, tidx] = active
-        else:
-            fused_value = u + stale_u
-            fused_weight = weight + stale_w
-            prior_delta = no_delta
+        # this timestamp's traffic: packets and deliveries per round
+        packets, rounds = 0, ()
+        prior_delta = None  # no neighbours' priors: no consensus term
+        if policy.communicate:
+            active = sampled.any(axis=1)
+            if m > 1:
+                fused_value = fused_value + link @ u
+                fused_weight = fused_weight + link @ weight
+                nbr_count = link @ active.astype(float)
+                prior_sum = link @ (prior * active[:, None])
+                prior_delta = prior_sum - nbr_count[:, None] * prior
+                packets = int(degree[active].sum())
+                rounds = (packets,)
+                broadcast_trace[:, tidx] = active
+            stats.broadcasts += active
 
         posterior, posterior_var = kcif.update_from_delta(
             prior, prior_var, fused_value, fused_weight, prior_delta, beta
@@ -404,13 +427,15 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
 
         release_t = posterior
         if policy.flood and m > 1:
-            for idx, total in zip(groups, sums):
-                np.sum(posterior[idx], axis=0, out=total)
-            release_t = sums[inverse] / counts
-            rounds = flood_rounds
-        elif policy.communicate:
-            stats.broadcasts += active
-        packets = sum(rounds)
+            # one average per group; np.add.reduce is np.sum without its wrapper
+            if len(groups) == 1:  # every server holds every payload
+                np.add.reduce(posterior, axis=0, out=sums[0])
+                release_t = sums / group_counts
+            else:
+                for idx, total in zip(groups, sums):
+                    np.add.reduce(posterior[idx], axis=0, out=total)
+                release_t = (sums / group_counts)[inverse]
+            packets, rounds = flood_packets, flood_plan
         # only a latency above the running maximum changes the report
         latency = _delivery_latency(rounds, latency_rng, latency_center, stats.max_latency_ms)
         stats.record_round(packets, packets * packet_bytes, latency)

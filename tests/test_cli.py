@@ -4,15 +4,18 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dpcrowd import cli
 from dpcrowd.cli import expand_runs, main
 from dpcrowd.config import _KEYS, ALGORITHMS, ExperimentConfig, config_from_mapping, \
     config_to_flat, parse_config_text
 from dpcrowd.datasets import load_csv
+from dpcrowd.runners import run_experiment
 
 LINEAR_DEMO = Path(__file__).resolve().parents[1] / "data" / "linear_demo.csv"
 
@@ -443,6 +446,10 @@ def _with_examples(test):
     for algorithm, key, value in _PROBE_FAILURES:
         test = example(overrides={"algorithm": algorithm, key: value})(test)
     test = example(overrides={"model.a": "1e308", "model.a_offdiag": "-1e308"})(test)
+    # a first grant that underflows to 0 used to exit 0 without a sample
+    test = example(overrides={"algorithm": "fast", "epsilon": "5e-324", "model.d": "1"})(test)
+    test = example(overrides={"algorithm": "dpcrowd_plus", "epsilon": "5e-324",
+                              "grouping.enabled": "false"})(test)
     return example(overrides={"algorithm": "dpcrowd", "model.d": "1", "data.source": "csv",
                               "data.path": str(LINEAR_DEMO), "model.a": "1e50"})(test)
 
@@ -458,16 +465,25 @@ def _reject_constant(name):
 def test_any_small_config_runs_or_is_diagnosed(overrides):
     # every key of the schema is drawn; a run ends in exit 0 with a finite
     # report or in a diagnosed exit 2 with none, never in a traceback
+    results = []
+
+    def recording_run(cfg):
+        results.append(run_experiment(cfg))
+        return results[-1]
+
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "fuzz.cfg"
         cfg.write_text(FUZZ_CFG + "".join(f"{k} = {v}\n" for k, v in overrides.items()))
         out, trace = Path(tmp) / "r.json", Path(tmp) / "t.csv"
-        code = main(["run", str(cfg), "--out", str(out), "--format", "json",
-                     "--trace", str(trace)])
+        with mock.patch.object(cli, "run_experiment", recording_run):
+            code = main(["run", str(cfg), "--out", str(out), "--format", "json",
+                         "--trace", str(trace)])
         assert code in (0, 2)
         if code == 2:
             assert not out.exists() and not trace.exists()
             return
+        # a private run that exits 0 took at least one sample
+        assert results and all(r.ledgers is None or r.sampled.any() for r in results)
         json.loads(out.read_text(), parse_constant=_reject_constant)
         with open(trace, newline="") as fh:
             rows = list(csv.reader(fh))[1:]

@@ -235,3 +235,31 @@ def test_non_finite_number_rejected(key, value):
 def test_non_finite_number_rejected_on_direct_construction():
     with pytest.raises(ConfigError, match="^epsilon must be a finite number"):
         ExperimentConfig(epsilon=float("nan")).validate()
+
+
+_TINY_BUDGET = {"epsilon": "5e-324", "timestamps": "40", "users": "1000", "net.m": "4"}
+
+
+@pytest.mark.parametrize("algorithm, extra", [
+    ("fast", {}), ("dfast", {}), ("dpcrowd", {}), ("dpcrowd_w", {"w": "40"}),
+    ("dpcrowd_plus", {"w": "5", "grouping.enabled": "false"}),
+    ("dpcrowd_plus", {"w": "5", "grouping.eta1": "1"}),
+])
+def test_first_grant_underflow_rejected(algorithm, extra):
+    # every pair is due at t = 1; a zero first grant used to run to exit 0
+    # with no sample and all-zero releases
+    with pytest.raises(ConfigError, match="first sample's budget, .*, underflows to 0"):
+        config_from_mapping({**_TINY_BUDGET, "algorithm": algorithm, **extra})
+
+
+@pytest.mark.parametrize("algorithm, extra", [
+    # 12 planned samples of 6e-323 grant 5e-324 each
+    ("fast", {"epsilon": "6e-323"}),
+    # one planned sample in a 5-timestamp block grants the whole budget
+    ("dpcrowd_w", {"w": "5"}),
+    # a whole fresh window, and no eps_max cap below it
+    ("dpcrowd_plus", {"w": "1", "p_max": "1", "mu": "2", "eps_max_fraction": "1"}),
+    ("nonprivate", {}),
+])
+def test_smallest_positive_first_grant_accepted(algorithm, extra):
+    config_from_mapping({**_TINY_BUDGET, "algorithm": algorithm, **extra})

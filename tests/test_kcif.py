@@ -1,14 +1,16 @@
 import itertools
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freeze_golden_grid import BASE, VARIANTS
 
-from dpcrowd import runners
+from dpcrowd import kcif, runners
 from dpcrowd.config import ExperimentConfig, ModelConfig, NetConfig, config_from_mapping
 from dpcrowd.datasets import build_transition
 from dpcrowd.kcif import (
@@ -182,6 +184,39 @@ def test_update_from_delta_consensus_direction():
     post_lo, _ = update_from_delta(np.array([0.0]), np.array([1.0]), np.zeros(1), np.zeros(1),
                                    np.array([-10.0]), 0.05)
     assert post_hi[0] > 0 > post_lo[0]
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.0, -3.5, 1e308, -1e308,
+                math.inf, -math.inf, math.nan)
+_edge_floats = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _same_bits(a, b):
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    nan = np.isnan(a)
+    return (nan == np.isnan(b)).all() and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    cols=st.lists(st.tuples(*[_edge_floats] * 5), min_size=1, max_size=6),
+    step=st.sampled_from((0.0, -0.0, 5e-324, 0.01, 1.0, 1e300)) | st.floats(0.0, 1e308),
+)
+@example(cols=[(-0.0, 2.0, -0.0, 0.0, 0.0)], step=0.01)  # -0.0 + gain * 0.0 is +0.0
+@example(cols=[(1.0, 1e300, 0.5, 1.0, 0.0)], step=1e300)  # step * prior_var overflows
+@example(cols=[(1.0, -1e-310, 0.5, 1.0, 0.0)], step=0.0)
+def test_update_without_neighbours_is_update_with_zero_delta(cols, step):
+    # prior_delta=None leaves out the consensus term, gain * 0.0, and must
+    # give the bits of a zero delta for any prior_var, including -0.0,
+    # subnormals, infinities, NaN and an overflowing consensus_step * prior_var
+    prior, prior_var, fused_value, fused_weight, extra = (np.array(c) for c in zip(*cols))
+    args = (prior, prior_var, fused_value, fused_weight)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        post, post_var = update_from_delta(*args, None, step)
+        want, want_var = update_from_delta(*args, np.zeros_like(extra), step)
+    assert _same_bits(post, want)
+    assert _same_bits(post_var, want_var)
 
 
 # ------------------------------------------------- textbook Kalman reduction
@@ -430,6 +465,109 @@ def test_repartitioned_run_takes_one_draw_per_timestamp(monkeypatch, algorithm):
     releases, variances = _reference_releases(cfg, result, topo.adjacency_at, sizes=sizes)
     np.testing.assert_allclose(result.releases, releases, rtol=1e-12)
     np.testing.assert_allclose(result.posterior_var, variances, rtol=1e-12)
+
+
+# ------------------------------------------ R_hat tables against per-timestamp R_hat
+
+def _spent_eps(result, shape):
+    """Per-release budget of every (server, timestamp, dimension): the ledger
+    spends, inf where nothing was spent or the run has no ledger."""
+    eps = np.full(shape, np.inf)
+    for i, ledger in enumerate(result.ledgers or []):
+        for k, spends in enumerate(ledger.spends):
+            for t, e in spends:
+                eps[i, t - 1, k] = e
+    return eps
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    algorithm=st.sampled_from(("nonprivate", "dpcrowd", "dpcrowd_w", "fast", "dfast")),
+    freeze=st.booleans(),
+    epsilon=st.sampled_from((1e-150, 0.1, 1.0, 5.0)),
+    w=st.integers(1, 9),
+    seed=st.integers(0, 2**16),
+)
+@example(algorithm="dfast", freeze=False, epsilon=1.0, w=1, seed=7)  # repartitioned
+@example(algorithm="dpcrowd_w", freeze=True, epsilon=1.0, w=7, seed=7)  # block restarts
+@example(algorithm="dpcrowd_w", freeze=False, epsilon=0.1, w=7, seed=7)
+@example(algorithm="fast", freeze=True, epsilon=1e-150, w=1, seed=7)  # tiny eps_uniform
+def test_rhat_tables_match_per_timestamp_rhat(algorithm, freeze, epsilon, w, seed):
+    # A uniform policy reads R_hat from tables built once a block. The fused
+    # information the filter receives must keep the bits it has with R_hat
+    # = max(effective_variance, floor) recomputed every timestamp from the
+    # budgets the ledgers record.
+    timestamps = 40
+    rng = np.random.default_rng(seed)
+    draws = [rng.permutation(SIZES) for _ in range(timestamps + 1)]
+    calls = iter(draws)
+    fused = []
+    update = kcif.update_from_delta
+
+    def recording(prior, prior_var, value, weight, delta, step):
+        fused.append((value, weight))
+        return update(prior, prior_var, value, weight, delta, step)
+
+    cfg = ExperimentConfig(
+        algorithm=algorithm, seed=seed, timestamps=timestamps, users=int(SIZES.sum()),
+        epsilon=epsilon, w=w, model=ModelConfig(q=(100.0,), freeze_partition=freeze),
+        net=NetConfig(m=len(SIZES), rho=0.5, seed=11),
+    )
+    with mock.patch.object(runners, "partition_users", lambda n, m, rng: next(calls).copy()), \
+            mock.patch.object(kcif, "update_from_delta", recording):
+        result = runners.run_experiment(cfg)
+    assert len(fused) == timestamps
+    sizes = np.array([draws[0]] * timestamps if freeze else draws[1:], dtype=float)
+    coeffs = sizes[:, :, None] / float(cfg.users)
+    eps = _spent_eps(result, result.releases.shape)
+    link = TopologySchedule(m=cfg.net.m, density=cfg.net.rho, seed=11).adjacency_at(1)
+    link = link.astype(float)
+    communicate = runners._POLICIES[algorithm].communicate
+    for tidx, (value, weight) in enumerate(fused):
+        coeff, sampled = coeffs[tidx], result.sampled[:, tidx]
+        rhat = np.maximum(
+            effective_variance(coeff * coeff * 100.0, eps[:, tidx], cfg.sensitivity_c,
+                               alpha=cfg.kcif.alpha),
+            cfg.kcif.variance_floor,
+        )
+        u = np.where(sampled, coeff * result.observations[:, tidx] / rhat, 0.0)
+        u_weight = np.where(sampled, coeff * coeff / rhat, 0.0)
+        if communicate:
+            u, u_weight = u + link @ u, u_weight + link @ u_weight
+        assert value.tobytes() == u.tobytes(), tidx
+        assert weight.tobytes() == u_weight.tobytes(), tidx
+    planned = cfg.sampling.planned_samples
+    if algorithm == "dpcrowd_w" and planned(w) != planned(timestamps % w or w):
+        # a shorter last block that plans fewer samples grants more
+        assert len({e for led in result.ledgers for sp in led.spends for _, e in sp}) > 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sensing=st.lists(st.floats(0.0, 1e300), min_size=1, max_size=8),
+    sampled=st.lists(st.booleans(), min_size=8, max_size=8),
+    eps=st.sampled_from((5e-324, 1e-310, 1e-160, 1e-150)) | st.floats(1e-300, 1e3),
+    sensitivity=st.floats(1e-3, 1e3),
+    alpha=st.floats(1e-3, 1e3),
+    floor=st.sampled_from((5e-324, 1e-12, 1.0)),
+)
+def test_rhat_where_of_two_tables_is_rhat_of_masked_budgets(sensing, sampled, eps, sensitivity,
+                                                            alpha, floor):
+    # R_hat is elementwise, so one table at eps and one at inf, picked per
+    # pair, give the bits of R_hat over the masked budgets, also where a
+    # tiny eps overflows the perturbation term to inf
+    sensing = np.array(sensing)
+    mask = np.array(sampled[:len(sensing)])
+
+    def table(budget):
+        return np.maximum(effective_variance(sensing, budget, sensitivity, alpha=alpha), floor)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        picked = np.where(mask, table(np.full(sensing.shape, eps)),
+                          table(np.full(sensing.shape, np.inf)))
+        want = table(np.where(mask, eps, np.inf))
+    assert picked.tobytes() == want.tobytes()
 
 
 # ------------------------------- dpcrowd_plus grants against the ledger history

@@ -9,6 +9,7 @@ from dpcrowd import netsim, runners
 from dpcrowd.config import ExperimentConfig, ModelConfig, NetConfig
 from dpcrowd.netsim import (
     CommStats,
+    LatencyPlan,
     TopologySchedule,
     _delivery_latency,
     flood_payload_bytes,
@@ -167,10 +168,14 @@ _BEATS = ("-inf", "zero", "exact", "below", "above", "ceiling")
     seed=st.integers(0, 2**32 - 1),
     beat_kind=st.sampled_from(_BEATS),
     buffered=st.booleans(),
+    planned=st.booleans(),
 )
-@example(counts=[5, 400, 3], center=100.0, seed=1, beat_kind="below", buffered=False)
-@example(counts=[5, 400, 3], center=100.0, seed=1, beat_kind="exact", buffered=True)
-def test_lazy_latency_is_exact_above_the_value_to_beat(counts, center, seed, beat_kind, buffered):
+@example(counts=[5, 400, 3], center=100.0, seed=1, beat_kind="below", buffered=False,
+         planned=False)
+@example(counts=[5, 400, 3], center=100.0, seed=1, beat_kind="exact", buffered=True,
+         planned=True)
+def test_lazy_latency_is_exact_above_the_value_to_beat(counts, center, seed, beat_kind, buffered,
+                                                       planned):
     full = np.random.default_rng(seed)
     lazy = np.random.default_rng(seed)
     if buffered:  # a buffered 32-bit half, which random() leaves alone
@@ -185,7 +190,8 @@ def test_lazy_latency_is_exact_above_the_value_to_beat(counts, center, seed, bea
         "above": math.nextafter(exact, math.inf),
         "ceiling": 1.2 * center * len(counts),
     }[beat_kind]
-    got = _delivery_latency(counts, lazy, center, beat)
+    # the engine passes a flood's rounds as a LatencyPlan built once per adjacency
+    got = _delivery_latency(LatencyPlan.of(counts) if planned else counts, lazy, center, beat)
     if exact > beat:
         assert got.hex() == exact.hex()
     else:
@@ -193,6 +199,14 @@ def test_lazy_latency_is_exact_above_the_value_to_beat(counts, center, seed, bea
     # the stream is left past every draw of the timestamp either way
     assert lazy.bit_generator.state == full.bit_generator.state
     assert lazy.random() == full.random()
+
+
+def test_latency_plan_lays_out_the_rounds_with_deliveries():
+    plan = LatencyPlan.of([0, 736, 11426, 0, 24547, 91])
+    assert plan.counts == (736, 11426, 24547, 91)
+    assert plan.starts == (0, 736, 12162, 36709, 36800)
+    assert plan.order == (3, 0, 1, 2)  # smallest first
+    assert LatencyPlan.of([0, 0]) == LatencyPlan((), (0,), ())
 
 
 def _dynamic_flood(**net):
