@@ -19,6 +19,7 @@ __all__ = [
     "GroupingThresholds",
     "GroupPartition",
     "predict_region",
+    "may_merge",
     "group_regions",
     "perturb_groups",
 ]
@@ -61,26 +62,47 @@ class GroupPartition:
 
 
 def _front_padded(history: np.ndarray, window: int) -> np.ndarray:
-    """Last `window` rows, front-padded by repeating the earliest row (zeros
-    when there are no rows)."""
+    """Last `window` rows of a (T, ...) history, front-padded by repeating the
+    earliest row (zeros when there are no rows)."""
     recent = history[-window:]
     if len(recent) == 0:
-        return np.zeros((window, history.shape[1]))
+        return np.zeros((window, *history.shape[1:]))
     if len(recent) < window:
         recent = np.concatenate([np.repeat(recent[:1], window - len(recent), axis=0), recent])
     return recent
 
 
 def predict_region(history, window: int) -> np.ndarray:
-    """Forecast each column of a (T, k) history as the mean of its last
-    `window` values; a short history is front-padded with its first row."""
+    """Forecast each column of a (T, ...) history as the mean of its last
+    `window` values; a short history is front-padded with its first row.
+
+    A (T, k) history gives k forecasts and a (T, m, d) one (m, d); each
+    column's forecast has the bits of that column forecast on its own.
+    """
     if window < 1:
         raise ValueError("window must be >= 1")
     recent = _front_padded(np.asarray(history, dtype=float), window)
     # numpy sums pairwise only along the contiguous axis, so each column is
-    # laid out contiguously to sum in the same order as a 1-D mean; .mean is
-    # this sum divided by the count, without its Python-level wrapper
-    return np.add.reduce(np.ascontiguousarray(recent.T), axis=1) / window
+    # laid out as a contiguous row to sum in the same order as a 1-D mean;
+    # .mean is this sum divided by the count, without its Python-level wrapper
+    rows = np.ascontiguousarray(recent.transpose(*range(1, recent.ndim), 0))
+    return np.add.reduce(rows, axis=-1) / window
+
+
+def may_merge(forecasts, thresholds: GroupingThresholds) -> bool:
+    """False when no two small forecasts lie within value_gap, so that
+    group_regions returns singletons whatever the histories.
+
+    The one no-merge rule: group_regions applies it before any grouping work,
+    and the engine applies it to skip grouping. Sorted, fl(p[j+2] - p[j]) >=
+    fl(p[j+1] - p[j]) since rounding is monotone, so adjacent gaps suffice.
+    NaN forecasts never merge and sit out the check; a gap that is NaN (equal
+    infinities) fails it.
+    """
+    ordered = sorted(
+        p for p in forecasts if not (p >= thresholds.large_value or math.isnan(p))
+    )
+    return not all(b - a > thresholds.value_gap for a, b in zip(ordered, ordered[1:]))
 
 
 def group_regions(
@@ -100,14 +122,9 @@ def group_regions(
     dims = [int(k) for k in sampled]
     predictions = np.asarray(predictions, dtype=float)
     forecasts = predictions.tolist()
-    small = [j for j, p in enumerate(forecasts) if not p >= thresholds.large_value]
-    # No two small forecasts within value_gap means no merge at all: sorted,
-    # fl(p[j+2] - p[j]) >= fl(p[j+1] - p[j]) since rounding is monotone, so
-    # adjacent gaps suffice. NaN forecasts never merge and sit out the check;
-    # a gap that is NaN (equal infinities) fails it.
-    ordered = sorted(forecasts[j] for j in small if not math.isnan(forecasts[j]))
-    if all(b - a > thresholds.value_gap for a, b in zip(ordered, ordered[1:])):
+    if not may_merge(forecasts, thresholds):
         return GroupPartition(groups=tuple(sorted((k,) for k in dims)))
+    small = [j for j, p in enumerate(forecasts) if not p >= thresholds.large_value]
     padded = _front_padded(np.asarray(history, dtype=float), thresholds.history_window)
     lo = padded.min(axis=0)
     span = padded.max(axis=0) - lo

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "combined_variance",
     "effective_variance",
     "prediction_gain",
     "predict",
@@ -44,6 +45,16 @@ def effective_variance(sensing_var, eps_t, sensitivity, *, alpha: float = 1.0):
         raise ValueError("per-release budget must be positive (inf for non-private)")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    return combined_variance(sensing_var, eps_t, sensitivity, alpha)
+
+
+def combined_variance(sensing_var, eps_t, sensitivity, alpha):
+    """The R_hat expression of effective_variance, without its checks.
+
+    The same operations in the same order on arrays and on Python floats, so
+    a per-pair R_hat in floats keeps the bits of the array's element. Python
+    floats never warn: an overflow gives inf silently where numpy would warn.
+    """
     scale = sensitivity / eps_t
     return alpha * (2.0 * scale * scale + sensing_var)
 

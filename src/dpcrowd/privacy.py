@@ -12,7 +12,7 @@ timestamp.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Iterator
 from itertools import chain
 from operator import itemgetter
@@ -154,20 +154,28 @@ class PrivacyLedger:
         set, so checking the windows that start at a spend timestamp rejects
         exactly what a scan of every window rejects. Once such a window
         reaches the newest spend, every later one holds a subset of its
-        spends, so the scan stops there.
+        spends, so the scan stops there. Window starts and ends only move
+        forward, so two pointers over the sorted stamps find every window in
+        one sweep.
         """
         for dim in range(self.dims):
             ordered = sorted(self.spends[dim])
             stamps = [ts for (ts, _) in ordered]
-            for start in sorted(set(stamps)):
+            amounts = [e for (_, e) in ordered]
+            count = len(ordered)
+            first = stop = 0
+            while first < count:
+                start = stamps[first]
                 end = start + self.w - 1
-                first = bisect_left(stamps, start)
-                stop = bisect_right(stamps, end)
-                total = math.fsum(e for (_, e) in ordered[first:stop])
+                while stop < count and stamps[stop] <= end:
+                    stop += 1
+                total = math.fsum(amounts[first:stop])
                 if total > self.epsilon_total:
                     raise BudgetError(dim, (start, end), total, self.epsilon_total)
-                if stop == len(ordered):
+                if stop == count:
                     break
+                while stamps[first] == start:  # the next distinct start
+                    first += 1
 
 
 def allocate_uniform(epsilon_total: float, num_samples: int) -> float:

@@ -19,7 +19,8 @@ import numpy as np
 from . import kcif
 from .config import _POLICIES, ConfigError, ExperimentConfig, _Policy
 from .datasets import build_transition, generate_stream, load_csv
-from .grouping import GroupingThresholds, group_regions, perturb_groups, predict_region
+from .grouping import GroupingThresholds, group_regions, may_merge, perturb_groups, \
+    predict_region
 from .model import NonFiniteStreamError, ProcessModel, partition_users
 from .netsim import CommStats, LatencyPlan, TopologySchedule, _delivery_latency, degrees, \
     flood_payload_bytes, flood_reachability, message_num_bytes
@@ -204,12 +205,12 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                                        alpha=alpha)
         return np.maximum(rhat, variance_floor)
 
-    # Every grant of a uniform policy in a block is eps_uniform, so its
-    # R_hat takes two values per pair and timestamp: this table's, for a
-    # pair observed without noise (eps = inf, as in a non-private run), and
-    # the block's granted table, built at each block start.
-    if not adaptive:
-        rhat_plain = np.broadcast_to(rhat_table(sensing_parts, math.inf), (timestamps, m, d))
+    # R_hat of a pair observed without noise (eps = inf): all of a
+    # non-private run's R_hat, and a private timestamp's R_hat before its
+    # granted pairs are written. Every grant of a uniform policy in a block
+    # is eps_uniform, so its granted pairs read the block's granted table,
+    # built at each block start.
+    rhat_plain = np.broadcast_to(rhat_table(sensing_parts, math.inf), (timestamps, m, d))
 
     ledgers: list[PrivacyLedger] | None = None
     if private:
@@ -311,10 +312,18 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
         # and by nothing else in private modes.
         x_raw = obs_noise[:, tidx, :]
 
+        # A private timestamp starts from R_hat at eps = inf and zero u and
+        # weight, and writes each granted pair's values in Python floats;
+        # per_pair turns False where it must take the array path below.
+        per_pair = private
         if not private:
             z = x_raw
         else:
             grants = np.zeros((m, d))
+            rhat = rhat_plain[tidx].copy()
+            u = np.zeros((m, d))
+            weight = np.zeros((m, d))
+            forecasts = None  # every server's forecasts, once a timestamp
             # An unsampled dimension repeats the server's previous release.
             z = releases[:, tidx - 1, :].copy() if tidx else np.zeros((m, d))
             eps_left_after: dict[tuple[int, int], float] = {}
@@ -344,38 +353,78 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                         calendar.setdefault(schedule.next_sample_t, []).append((i, k))
                         continue
                     granted.append(k)
-                    grant_row[k] = grant
+                    grant_row[k] = grants[i, k] = grant
                     eps_left_after[i, k] = max(0.0, min(before, epsilon) - grant)
                 if not granted:
                     continue
                 granted_by_server[i] = granted
-                grants[i] = grant_row
-                x_row, z_row, rng = x_raw[i].tolist(), z[i], server_rngs[i]
+                rng = server_rngs[i]
+                # A lone grant, or grants that may_merge keeps apart, form
+                # singleton groups, whose draws in ascending dimension order
+                # are bitwise perturb_count's, so they skip grouping.
+                shares = None
                 if grouping and len(granted) > 1:
-                    # forecasts and trends read only the last tau releases of
-                    # the granted columns; a lone grant is a group of its own,
-                    # whose draw is bitwise perturb_count's, so it skips this
-                    recent = releases[i, max(0, tidx - tau):tidx][:, granted]
-                    predictions = predict_region(recent, tau)
-                    partition = group_regions(granted, predictions, recent, thresholds)
-                    shares = perturb_groups(partition, x_row, grant_row, sensitivity, rng)
-                    for k, value in shares.items():
-                        z_row[k] = value
-                else:
-                    for k in granted:
-                        z_row[k] = perturb_count(x_row[k], sensitivity, grant_row[k], rng)
+                    if forecasts is None:
+                        # each forecast has the bits of predict_region over the
+                        # server's granted columns; numpy's warnings are left
+                        # to that call, which a non-finite forecast takes
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            forecasts = predict_region(
+                                releases[:, max(0, tidx - tau):tidx].swapaxes(0, 1), tau
+                            )
+                    predictions = [forecasts.item(i, k) for k in granted]
+                    if not all(map(math.isfinite, predictions)) or \
+                            may_merge(predictions, thresholds):
+                        # forecasts and trends read only the last tau releases
+                        # of the granted columns
+                        recent = releases[i, max(0, tidx - tau):tidx][:, granted]
+                        partition = group_regions(
+                            granted, predict_region(recent, tau), recent, thresholds
+                        )
+                        shares = perturb_groups(
+                            partition, x_raw[i].tolist(), grant_row, sensitivity, rng
+                        )
+                coeff, coeff_sq = coeff_col.item(i, 0), coeff_sq_col.item(i, 0)
+                for k in granted:
+                    if shares is None:
+                        released = perturb_count(x_raw.item(i, k), sensitivity, grant_row[k], rng)
+                    else:
+                        released = shares[k]
+                    z[i, k] = released
+                    # the array path's expressions for this pair; R_hat is at
+                    # least variance_floor > 0, so nothing divides by zero
+                    if adaptive:
+                        r = kcif.combined_variance(
+                            sensings.item(tidx, i, k), grant_row[k], sensitivity, alpha
+                        )
+                        if r < variance_floor:  # np.maximum(r, floor)
+                            r = variance_floor
+                    else:
+                        r = rhat_granted.item(tidx - block_start, i, k)
+                    value, info = coeff * released / r, coeff_sq / r
+                    rhat[i, k], u[i, k], weight[i, k] = r, value, info
+                    if not (math.isfinite(r) and math.isfinite(value) and math.isfinite(info)):
+                        per_pair = False
             sampled = grants > 0.0
 
-        if adaptive:
-            # every grant is positive; eps_used stays inf wherever no noise
-            # was added, which drops the perturbation term from R_hat
-            eps_used = np.where(sampled, grants, np.inf)
-            rhat = kcif.effective_variance(sensings[tidx], eps_used, sensitivity, alpha=alpha)
-            rhat = np.maximum(rhat, variance_floor)
-        else:
-            rhat = rhat_plain[tidx]
-            if private and granted_by_server:
-                rhat = np.where(sampled, rhat_granted[tidx - block_start], rhat)
+        if not per_pair:
+            # The array path: R_hat here and u and weight below, of every
+            # pair at once. It is all of a non-private run's. A private
+            # timestamp takes it only when a per-pair value came out
+            # non-finite, the one case where numpy warns (overflow, invalid
+            # value) and Python floats do not, so that the same warning fires
+            # at the same point as before the per-pair values; it is the only
+            # second path.
+            if not private:
+                rhat = rhat_plain[tidx]
+            elif adaptive:
+                # every grant is positive; eps_used stays inf wherever no noise
+                # was added, which drops the perturbation term from R_hat
+                eps_used = np.where(sampled, grants, np.inf)
+                rhat = kcif.effective_variance(sensings[tidx], eps_used, sensitivity, alpha=alpha)
+                rhat = np.maximum(rhat, variance_floor)
+            else:
+                rhat = np.where(sampled, rhat_granted[tidx - block_start], rhat_plain[tidx])
 
         prior, prior_var = kcif.predict(posterior, posterior_var, transition_t, gain, q_diag)
         if not all_initialized:
@@ -389,8 +438,9 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                 initialized |= sampled
                 all_initialized = initialized.all()
 
-        u = np.where(sampled, coeff_col * z / rhat, 0.0)
-        weight = np.where(sampled, coeff_sq_col / rhat, 0.0)
+        if not per_pair:
+            u = np.where(sampled, coeff_col * z / rhat, 0.0)
+            weight = np.where(sampled, coeff_sq_col / rhat, 0.0)
         # Without stale reuse no zero term is added: u + 0.0 would only turn
         # a -0.0 into +0.0. The update's fused_value - fused_weight * prior
         # then differs only in the sign of a zero, where fused_weight * prior

@@ -382,6 +382,28 @@ def test_runtime_warning_raised_as_error_is_diagnosed(tmp_path, capsys):
     assert err == "error: RuntimeWarning: overflow encountered in divide\n"
 
 
+def test_overflowing_perturbation_term_warns_and_runs(tmp_path, capsys):
+    # mu = 1e-160 grants about 1e-160: c / eps is finite, but its square in
+    # R_hat overflows to inf. A per-pair R_hat in Python floats would not
+    # warn, so the engine recomputes that timestamp with numpy, which does.
+    text = PROBE_CFG + "algorithm = dpcrowd_plus\nmu = 1e-160\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        err = _run_diagnosed(tmp_path, capsys, text)
+    assert err == "error: RuntimeWarning: overflow encountered in multiply\n"
+    # without warnings as errors the run completes: R_hat = inf weighs the
+    # observation out, and the report keeps the bytes it had before per-pair
+    # R_hat values
+    cfg, out = _write_cfg(tmp_path, text), tmp_path / "r.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == (
+        "1,dpcrowd_plus,0,1,5,0.29999999999999999,4,1.1532118310952444e+155,"
+        "1.1665121515144487e+160,25,1400,118.71734281222973,25"
+    )
+
+
 def test_underflowing_window_budget_is_diagnosed(tmp_path, capsys):
     # epsilon / w underflowed to 0 and the default grouping.eta1 divided by it
     err = _run_diagnosed(tmp_path, capsys, PROBE_CFG + "algorithm = dpcrowd_plus\n"

@@ -1,5 +1,6 @@
 import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpcrowd import runners
-from dpcrowd.config import DataConfig, ExperimentConfig, ModelConfig, NetConfig
+from dpcrowd.config import DataConfig, ExperimentConfig, GroupingConfig, ModelConfig, \
+    NetConfig, SamplingConfig
 from dpcrowd.grouping import (
     GroupPartition,
     GroupingThresholds,
     group_regions,
+    may_merge,
     perturb_groups,
     predict_region,
 )
@@ -393,16 +396,24 @@ def test_charges_each_member_budget(monkeypatch):
             assert charged == [int(t) + 1 for t in np.flatnonzero(res.sampled[i, :, k])]
 
 
-def test_lone_grant_skips_grouping(monkeypatch):
-    # a server granted one dimension perturbs it with perturb_count directly,
-    # the draw a singleton group would give, without grouping at all
-    lone, grouped = [], []
-    group_original, perturb_original, count_original = (
-        runners.group_regions, runners.perturb_groups, runners.perturb_count,
+def _gated_run(cfg):
+    """Run cfg and check its grouping gate against a replay from its own
+    releases; returns the run and the timestamps group_regions was asked at.
+
+    Each server-timestamp with two or more grants is recomputed with
+    predict_region over the server's granted columns and the no-merge rule:
+    the engine's forecasts must have those bits, group_regions must be asked
+    exactly where the rule lets a merge happen, and every other grant must
+    draw with perturb_count, in (timestamp, server, dimension) order, bitwise
+    as its singleton partition would.
+    """
+    asked, gated, drawn = [], [], []
+    group_original, perturb_original, count_original, merge_original = (
+        runners.group_regions, runners.perturb_groups, runners.perturb_count, runners.may_merge,
     )
 
     def grouping(sampled, *args):
-        grouped.append(len(sampled))
+        asked.append(list(sampled))
         return group_original(sampled, *args)
 
     def perturbing(partition, *args):
@@ -415,26 +426,110 @@ def test_lone_grant_skips_grouping(monkeypatch):
             GroupPartition(groups=((0,),)), [value], [eps_t], sensitivity, copy.deepcopy(rng)
         )[0]
         released = count_original(value, sensitivity, eps_t, rng)
-        assert released == count_original(value, sensitivity, eps_t, before) == singleton
-        lone.append(released)
+        assert released.hex() == count_original(value, sensitivity, eps_t, before).hex()
+        assert released.hex() == singleton.hex()
+        drawn.append(released)
         return released
 
-    monkeypatch.setattr(runners, "group_regions", grouping)
-    monkeypatch.setattr(runners, "perturb_groups", perturbing)
-    monkeypatch.setattr(runners, "perturb_count", counting)
+    def gate(forecasts, thresholds):
+        gated.append(list(forecasts))
+        return merge_original(forecasts, thresholds)
+
+    with mock.patch.multiple(runners, group_regions=grouping, perturb_groups=perturbing,
+                             perturb_count=counting, may_merge=gate):
+        res = runners.run_experiment(cfg)
+    thresholds, tau = runners._grouping_thresholds(cfg), cfg.grouping.tau
+    want_asked, want_gated, want_drawn, asked_at = [], [], [], []
+    for t in range(cfg.timestamps):
+        for i in range(cfg.net.m):
+            granted = np.flatnonzero(res.sampled[i, t]).tolist()
+            if len(granted) > 1:
+                forecasts = predict_region(res.releases[i, max(0, t - tau):t][:, granted], tau)
+                forecasts = forecasts.tolist()
+                finite = all(map(math.isfinite, forecasts))
+                if finite:
+                    want_gated.append(forecasts)
+                if not finite or may_merge(forecasts, thresholds):
+                    want_asked.append(granted)
+                    asked_at.append(t)
+                    continue
+            want_drawn.extend(res.observations[i, t, granted].tolist())
+    assert [[p.hex() for p in row] for row in gated] == \
+        [[p.hex() for p in row] for row in want_gated]
+    assert asked == want_asked
+    assert [v.hex() for v in drawn] == [v.hex() for v in want_drawn]
+    return res, asked_at
+
+
+def test_lone_grant_skips_grouping():
+    # a server granted one dimension, or several that the no-merge rule keeps
+    # apart, perturbs each with perturb_count directly, the draws a
+    # singleton partition would give, without grouping at all
     cfg = ExperimentConfig(
         algorithm="dpcrowd_plus", seed=2, timestamps=60, users=2000, w=10,
         model=ModelConfig(d=3, q=(1.0, 100.0, 1e4)), data=DataConfig(initial=(5.0, 50.0, 500.0)),
         net=NetConfig(m=3, rho=1.0, seed=1),
     )
-    res = runners.run_experiment(cfg)
+    res, asked_at = _gated_run(cfg)
     per_server = res.sampled.sum(axis=2)  # (m, T) granted dimensions
-    assert min(grouped) > 1
-    assert len(grouped) == int((per_server > 1).sum()) > 0
-    # draws come in (t, server) order; each is the lone dimension's observation
-    pairs = [(t, i) for t in range(cfg.timestamps) for i in range(cfg.net.m)
-             if per_server[i, t] == 1]
-    assert len(lone) == len(pairs) > 0
-    for (t, i), released in zip(pairs, lone):
-        k = int(np.flatnonzero(res.sampled[i, t])[0])
-        assert res.observations[i, t, k] == released
+    # every server merges at t = 1, where the empty history forecasts zeros
+    assert asked_at.count(0) == cfg.net.m
+    # lone grants, and multi-grant server-timestamps that skip grouping
+    assert (per_server == 1).sum() > 0
+    assert (per_server > 1).sum() > len(asked_at)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tau=st.integers(1, 12),
+    timestamps=st.integers(2, 20),
+    d=st.integers(2, 4),
+    fixed=st.booleans(),
+    eta1=st.sampled_from((None, 1e9)),
+    eta3=st.sampled_from((None, 0.0, 1e3)),
+    seed=st.integers(0, 2**16),
+)
+def test_engine_forecasts_match_predict_region(tau, timestamps, d, fixed, eta1, eta3, seed):
+    # the engine forecasts every server's dimensions in one pass a timestamp;
+    # each granted column must have the bits predict_region gives it alone,
+    # front-padded while t < tau, and at windows past numpy's pairwise block
+    # of 8, and the gate must decide as the replay does
+    cfg = ExperimentConfig(
+        algorithm="dpcrowd_plus", seed=seed, timestamps=timestamps, users=300, w=5,
+        model=ModelConfig(d=d, q=(100.0,)), data=DataConfig(initial=(500.0,)),
+        net=NetConfig(m=3, rho=1.0, seed=1),
+        sampling=SamplingConfig(mode="fixed" if fixed else "adaptive"),
+        grouping=GroupingConfig(eta1=eta1, eta3=eta3, tau=tau),
+    )
+    _gated_run(cfg)
+
+
+_SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.0, 2.0, 3.0, 1e308, -1e308)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    forecasts=st.lists(
+        st.one_of(st.sampled_from(_SPECIAL), st.integers(-6, 6).map(float),
+                  st.floats(allow_nan=True, allow_infinity=True)),
+        min_size=1, max_size=6,
+    ),
+    large=st.sampled_from((5e-324, 1.0, 3.0, 1e308, math.inf)),
+    gap=st.sampled_from((0.0, 1.0, 2.0, 1e308, math.inf)),
+    seed=st.integers(0, 2**16),
+)
+def test_no_merge_rule_means_singletons(forecasts, large, gap, seed):
+    # where may_merge says no, the pairwise reference groups nothing: NaN,
+    # infinities of either sign, equal infinities and gaps of exactly
+    # value_gap (integer forecasts a whole gap apart) included
+    thr = GroupingThresholds(large_value=large, value_gap=gap, trend_gap=1.0,
+                             history_window=3)
+    k = len(forecasts)
+    history = np.random.default_rng(seed).uniform(0.0, 10.0, size=(4, k))
+    if may_merge(forecasts, thr):
+        return
+    full_histories = [history[:, j] for j in range(k)]
+    singletons = tuple((j,) for j in range(k))
+    assert _reference_groups(list(range(k)), np.array(forecasts), full_histories, thr) == \
+        singletons
+    assert group_regions(list(range(k)), forecasts, history, thr).groups == singletons

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from freeze_golden_grid import BASE, VARIANTS
 
 from dpcrowd import kcif, runners
-from dpcrowd.config import ExperimentConfig, ModelConfig, NetConfig, config_from_mapping
+from dpcrowd.config import ExperimentConfig, KcifConfig, ModelConfig, NetConfig, \
+    config_from_mapping
 from dpcrowd.datasets import build_transition
 from dpcrowd.kcif import (
     UNINFORMED_VARIANCE_SCALE,
@@ -480,24 +481,46 @@ def _spent_eps(result, shape):
     return eps
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    algorithm=st.sampled_from(("nonprivate", "dpcrowd", "dpcrowd_w", "fast", "dfast")),
+    algorithm=st.sampled_from(
+        ("nonprivate", "dpcrowd", "dpcrowd_w", "fast", "dfast", "dpcrowd_plus")
+    ),
     freeze=st.booleans(),
-    epsilon=st.sampled_from((1e-150, 0.1, 1.0, 5.0)),
+    # (epsilon, sensitivity_c): 1e-309 grants subnormal budgets at a scale
+    # that stays finite; 1e-160 overflows (c / eps)^2, so R_hat is inf
+    budget=st.sampled_from(((1e-309, 1e-300), (1e-160, 1.0), (1e-150, 1.0), (0.1, 1.0),
+                            (1.0, 1.0), (5.0, 1.0))),
+    alpha=st.sampled_from((1.0, 0.37, 3.0)),
+    floor=st.sampled_from((1e-12, 50.0)),  # 50 lies above most R_hat here
+    stale_self=st.booleans(),
     w=st.integers(1, 9),
     seed=st.integers(0, 2**16),
 )
-@example(algorithm="dfast", freeze=False, epsilon=1.0, w=1, seed=7)  # repartitioned
-@example(algorithm="dpcrowd_w", freeze=True, epsilon=1.0, w=7, seed=7)  # block restarts
-@example(algorithm="dpcrowd_w", freeze=False, epsilon=0.1, w=7, seed=7)
-@example(algorithm="fast", freeze=True, epsilon=1e-150, w=1, seed=7)  # tiny eps_uniform
-def test_rhat_tables_match_per_timestamp_rhat(algorithm, freeze, epsilon, w, seed):
-    # A uniform policy reads R_hat from tables built once a block. The fused
-    # information the filter receives must keep the bits it has with R_hat
-    # = max(effective_variance, floor) recomputed every timestamp from the
-    # budgets the ledgers record.
+@example(algorithm="dfast", freeze=False, budget=(1.0, 1.0), alpha=1.0, floor=1e-12,
+         stale_self=False, w=1, seed=7)  # repartitioned
+@example(algorithm="dpcrowd_w", freeze=True, budget=(1.0, 1.0), alpha=1.0, floor=1e-12,
+         stale_self=False, w=7, seed=7)  # block restarts
+@example(algorithm="dpcrowd_w", freeze=False, budget=(0.1, 1.0), alpha=1.0, floor=1e-12,
+         stale_self=True, w=7, seed=7)
+@example(algorithm="fast", freeze=True, budget=(1e-150, 1.0), alpha=1.0, floor=1e-12,
+         stale_self=False, w=1, seed=7)  # tiny eps_uniform
+@example(algorithm="dpcrowd_plus", freeze=True, budget=(5.0, 1.0), alpha=0.37, floor=50.0,
+         stale_self=False, w=5, seed=7)  # the floor binds
+@example(algorithm="dpcrowd_plus", freeze=False, budget=(1e-309, 1e-300), alpha=0.37,
+         floor=50.0, stale_self=True, w=5, seed=7)
+@example(algorithm="dpcrowd_plus", freeze=True, budget=(1e-160, 1.0), alpha=3.0,
+         floor=1e-12, stale_self=True, w=5, seed=7)  # every timestamp on the array path
+def test_rhat_tables_match_per_timestamp_rhat(algorithm, freeze, budget, alpha, floor,
+                                              stale_self, w, seed):
+    # A private run writes R_hat, u and weight per granted pair, in Python
+    # floats, from the R_hat tables (uniform policies) or from its grant
+    # (dpcrowd_plus). The fused information the filter receives must keep
+    # the bits it has with the array expressions: R_hat = max(effective_
+    # variance, floor) recomputed every timestamp from the budgets the
+    # ledgers record, u and weight over every pair.
     timestamps = 40
+    epsilon, sensitivity = budget
     rng = np.random.default_rng(seed)
     draws = [rng.permutation(SIZES) for _ in range(timestamps + 1)]
     calls = iter(draws)
@@ -510,11 +533,14 @@ def test_rhat_tables_match_per_timestamp_rhat(algorithm, freeze, epsilon, w, see
 
     cfg = ExperimentConfig(
         algorithm=algorithm, seed=seed, timestamps=timestamps, users=int(SIZES.sum()),
-        epsilon=epsilon, w=w, model=ModelConfig(q=(100.0,), freeze_partition=freeze),
+        epsilon=epsilon, w=w, sensitivity_c=sensitivity,
+        model=ModelConfig(q=(100.0,), freeze_partition=freeze),
         net=NetConfig(m=len(SIZES), rho=0.5, seed=11),
+        kcif=KcifConfig(alpha=alpha, variance_floor=floor, fuse_stale_self=stale_self),
     )
     with mock.patch.object(runners, "partition_users", lambda n, m, rng: next(calls).copy()), \
-            mock.patch.object(kcif, "update_from_delta", recording):
+            mock.patch.object(kcif, "update_from_delta", recording), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # R_hat overflows at eps 1e-160
         result = runners.run_experiment(cfg)
     assert len(fused) == timestamps
     sizes = np.array([draws[0]] * timestamps if freeze else draws[1:], dtype=float)
@@ -522,20 +548,34 @@ def test_rhat_tables_match_per_timestamp_rhat(algorithm, freeze, epsilon, w, see
     eps = _spent_eps(result, result.releases.shape)
     link = TopologySchedule(m=cfg.net.m, density=cfg.net.rho, seed=11).adjacency_at(1)
     link = link.astype(float)
-    communicate = runners._POLICIES[algorithm].communicate
+    policy = runners._POLICIES[algorithm]
+    block = w if policy.window_restart else timestamps
     for tidx, (value, weight) in enumerate(fused):
+        if tidx % block == 0:
+            initialized = np.zeros((len(SIZES), 1), dtype=bool)
+            last_rhat = np.full((len(SIZES), 1), np.inf)
         coeff, sampled = coeffs[tidx], result.sampled[:, tidx]
-        rhat = np.maximum(
-            effective_variance(coeff * coeff * 100.0, eps[:, tidx], cfg.sensitivity_c,
-                               alpha=cfg.kcif.alpha),
-            cfg.kcif.variance_floor,
-        )
-        u = np.where(sampled, coeff * result.observations[:, tidx] / rhat, 0.0)
-        u_weight = np.where(sampled, coeff * coeff / rhat, 0.0)
-        if communicate:
-            u, u_weight = u + link @ u, u_weight + link @ u_weight
-        assert value.tobytes() == u.tobytes(), tidx
-        assert weight.tobytes() == u_weight.tobytes(), tidx
+        z = result.observations[:, tidx]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rhat = np.maximum(
+                effective_variance(coeff * coeff * 100.0, eps[:, tidx], sensitivity,
+                                   alpha=alpha),
+                floor,
+            )
+            u = np.where(sampled, coeff * z / rhat, 0.0)
+            u_weight = np.where(sampled, coeff * coeff / rhat, 0.0)
+            want, want_weight = u, u_weight
+            initialized |= sampled
+            if stale_self:
+                stale = ~sampled & initialized & np.isfinite(last_rhat)
+                want = u + np.where(stale, coeff * z / last_rhat, 0.0)
+                want_weight = u_weight + np.where(stale, coeff * coeff / last_rhat, 0.0)
+                last_rhat = np.where(sampled, rhat, last_rhat)
+            if policy.communicate:
+                want, want_weight = want + link @ u, want_weight + link @ u_weight
+        assert value.tobytes() == want.tobytes(), tidx
+        assert weight.tobytes() == want_weight.tobytes(), tidx
     planned = cfg.sampling.planned_samples
     if algorithm == "dpcrowd_w" and planned(w) != planned(timestamps % w or w):
         # a shorter last block that plans fewer samples grants more

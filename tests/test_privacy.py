@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpcrowd.privacy import (
@@ -253,6 +253,25 @@ def test_out_of_order_charge_is_refused(w):
     assert led.spends == before
 
 
+def _first_breach(spends, epsilon, w):
+    """Oracle: scan the window starting at every timestamp, earliest first.
+
+    The first window over budget, moved right to start at its earliest
+    spend, holds all of its spends and so is over budget too, and no window
+    that starts at an earlier spend is. Returns that moved window and its
+    exact sum, or None when no window is over budget.
+    """
+    def window_sum(start):
+        return math.fsum(e for t, e in spends if start <= t <= start + w - 1)
+
+    stamps = [t for t, _ in spends]
+    for start in range(min(stamps, default=1) - w + 1, max(stamps, default=0) + 1):
+        if window_sum(start) > epsilon:
+            first = min(t for t in stamps if t >= start)
+            return (first, first + w - 1), window_sum(first)
+    return None
+
+
 @given(
     st.integers(1, 35),
     st.lists(
@@ -261,17 +280,28 @@ def test_out_of_order_charge_is_refused(w):
         max_size=2,
     ),
 )
+@example(1, [[(3, 0.6), (3, 0.5), (1, 0.2)]])  # w = 1, a repeated timestamp over budget
+@example(1, [[(2, 0.6), (1, 0.6), (3, 0.6)]])
+@example(30, [[(30, 0.3), (1, 0.3), (15, 0.3), (15, 0.2)]])  # w = T: every spend in one window
+@example(30, [[(30, 0.3), (1, 0.3), (15, 0.3)], [(9, 0.6), (2, 0.5)]])
 @settings(max_examples=300, deadline=None)
 def test_audit_matches_brute_force_on_injected_spends(w, per_dim):
-    # spends written straight into the ledger: unsorted, possibly over budget
+    # spends written straight into the ledger: unsorted, possibly over budget;
+    # the audit rejects exactly what a scan of every window rejects, naming
+    # the first dimension's first window over budget and its sum
     led = PrivacyLedger(1.0, dims=len(per_dim), w=w)
     led.spends = [list(spends) for spends in per_dim]
-    ok = all(_brute_force_ok(spends, 1.0, w) for spends in per_dim)
-    if ok:
+    breaches = [(dim, _first_breach(spends, 1.0, w)) for dim, spends in enumerate(per_dim)]
+    breaches = [(dim, found) for dim, found in breaches if found is not None]
+    assert (not breaches) == all(_brute_force_ok(spends, 1.0, w) for spends in per_dim)
+    if not breaches:
         led.audit()
-    else:
-        with pytest.raises(BudgetError):
-            led.audit()
+        return
+    with pytest.raises(BudgetError) as caught:
+        led.audit()
+    dim, (window, total) = breaches[0]
+    assert (caught.value.dim, caught.value.window) == (dim, window)
+    assert caught.value.attempted.hex() == total.hex()
 
 
 # ------------------------------------------------------------- allocation
