@@ -16,7 +16,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, apply_override, load_config
 from .datasets import CsvFormatError, gen_linear, gen_multilinear, save_csv
 from .privacy import BudgetError
-from .report import summary_record, write_report
+from .report import write_report
 from .runners import RunDivergedError, RunResult, run_experiment
 
 __all__ = ["main", "expand_runs"]
@@ -31,9 +31,8 @@ def _run_all(cfg: ExperimentConfig) -> list[RunResult]:
     return [run_experiment(c) for c in expand_runs(cfg)]
 
 
-def _print_summaries(results: list[RunResult]) -> None:
-    for result in results:
-        rec = summary_record(result)
+def _print_summaries(records: list[dict]) -> None:
+    for rec in records:
         print(
             f"{rec['algorithm']} seed={rec['seed']} eps={rec['epsilon']:g} "
             f"are={rec['are']:.6g} ace={rec['ace']:.6g} packets={rec['packets']}"
@@ -44,8 +43,7 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     results = _run_all(cfg)
     out = args.out if args.out else f"report.{args.format}"
-    write_report(results, args.format, out, trace_path=args.trace)
-    _print_summaries(results)
+    _print_summaries(write_report(results, args.format, out, trace_path=args.trace))
     print(f"wrote {out}" + (f" and {args.trace}" if args.trace else ""))
     return 0
 
@@ -60,8 +58,7 @@ def _cmd_sweep(args) -> int:
         swept = apply_override(cfg, args.param, value)
         results.extend(_run_all(swept))
     out = args.out if args.out else f"sweep.{args.format}"
-    write_report(results, args.format, out)
-    _print_summaries(results)
+    _print_summaries(write_report(results, args.format, out))
     print(f"wrote {out} ({len(results)} rows over {args.param} in {values})")
     return 0
 

@@ -9,7 +9,6 @@ to all neighbors once. Packets count delivered edge-directions.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,7 @@ __all__ = [
     "flood_payload_bytes",
     "flood_reachability",
     "LatencyPlan",
+    "max_delivery_latency",
 ]
 
 # Wire sizes: every message starts with the sender and timestamp as uint32.
@@ -100,11 +100,14 @@ class CommStats:
     broadcasts: np.ndarray | None = None
     packets_by_t: list = field(default_factory=list)
 
-    def record_round(self, packets: int, payload_bytes: int, latency_ms: float) -> None:
-        self.packets += int(packets)
-        self.payload_bytes += int(payload_bytes)
-        self.max_latency_ms = max(self.max_latency_ms, float(latency_ms))
-        self.packets_by_t.append(int(packets))
+    @classmethod
+    def of(cls, packets_by_t, packet_bytes: int, max_latency_ms: float,
+           broadcasts: np.ndarray) -> CommStats:
+        """Totals from the per-timestamp packet counts; every packet has packet_bytes."""
+        packets_by_t = [int(p) for p in packets_by_t]
+        packets = sum(packets_by_t)
+        return cls(packets, packets * packet_bytes, float(max_latency_ms), broadcasts,
+                   packets_by_t)
 
 
 def message_num_bytes(d: int) -> int:
@@ -119,7 +122,7 @@ def flood_payload_bytes(d: int) -> int:
 
 @dataclass(frozen=True)
 class LatencyPlan:
-    """Multi-round deliveries laid out once for `_delivery_latency`.
+    """One timestamp's deliveries per round, laid out for `max_delivery_latency`.
 
     counts keeps the rounds with deliveries, starts their first stream
     positions (one double per delivery, so starts[-1] is the total) and
@@ -138,58 +141,67 @@ class LatencyPlan:
                    tuple(sorted(range(len(counts)), key=counts.__getitem__)))
 
 
-def _delivery_latency(
-    counts, rng: np.random.Generator, center: float, beat: float = -math.inf
+# uniforms drawn per call, so that a long round holds at most 512 KiB at once
+_DRAW_CHUNK = 1 << 16
+
+
+def _largest_uniform(rng: np.random.Generator, n: int) -> float:
+    """The largest of the next n rng.random() doubles, drawn in bounded chunks."""
+    if n <= _DRAW_CHUNK:
+        return float(rng.random(n).max())
+    return max(float(rng.random(min(_DRAW_CHUNK, n - i)).max())
+               for i in range(0, n, _DRAW_CHUNK))
+
+
+def max_delivery_latency(
+    plans, rng: np.random.Generator, center: float, best: float = 0.0
 ) -> float:
-    """Sum over rounds of the max per-delivery latency, uniform within +/-20% of the center.
+    """The largest of best and each timestamp's delivery latency.
 
-    counts holds one timestamp's deliveries per round, as a sequence or a
-    LatencyPlan; a round with none draws nothing. The rounds take
-    consecutive stream positions, and each round's maximum u is mapped to a
-    latency the way rng.uniform maps a draw (low + span * u), so the result
-    equals a max over per-round uniform draws.
+    plans holds one LatencyPlan per timestamp, in stream order; each
+    delivery takes the next stream position. A timestamp's latency is the
+    sum over its rounds of the round's largest per-delivery latency, uniform
+    within +/-20% of the center: a round's largest u maps to low + span * u,
+    as rng.uniform maps a draw. That map is monotone in u, so single-round
+    timestamps in a row (a one-hop exchange) may be passed as one plan of
+    their summed deliveries: their largest latency is that of their largest u.
 
-    A caller that keeps only a running maximum passes it as `beat`. Rounds
-    are then drawn smallest first, each from its own stream positions, and
-    after each one the sum is bounded, in round order, with every undrawn
-    round's u set to 1.0. IEEE rounding is monotone and every u is below
-    1.0, so the bound is at least the exact sum; once it is <= beat no
-    undrawn round can lift the maximum, and the bound is returned. So the
-    result is exact whenever it exceeds beat and is <= beat otherwise. With
-    every round drawn the bound is the exact sum. Either way rng is left
-    past all of the timestamp's draws, as if each had been taken.
+    Only a latency above the running maximum changes the result, so rounds
+    are drawn smallest first, each from its own stream positions, and after
+    each one the timestamp's latency is bounded, in round order, with every
+    undrawn round's u set to 1.0. IEEE rounding is monotone and every u is
+    below 1.0, so the bound is at least the exact sum; once it is <= the
+    maximum, no undrawn round can lift it, and the timestamp is done. So
+    the result equals the maximum over exact latencies. The state is read
+    once, and rng is left past every draw of every timestamp, as if each
+    had been taken, with any buffered 32-bit half kept.
 
     rng must wrap PCG64, as default_rng's do: random() takes one 64-bit
     output per double, so PCG64.advance(n) skips exactly n doubles, and a
     negative n steps back as exactly.
     """
-    plan = counts if isinstance(counts, LatencyPlan) else None
-    counts = plan.counts if plan else [int(c) for c in counts if c]
-    if not counts:
-        return 0.0
     low = 0.8 * center
     span = 1.2 * center - low
-    if len(counts) == 1:
-        return low + span * float(rng.random(counts[0]).max())
-    plan = plan or LatencyPlan.of(counts)
-    starts = plan.starts
+    top = low + span  # a round's term until it is drawn
     bit_gen = rng.bit_generator
     saved = bit_gen.state
-    # each round's term of the sum; low + span * 1.0 until the round is drawn
-    terms = [low + span] * len(counts)
-    at = 0  # stream position past the saved state
-    for r in plan.order:
-        if sum(terms) <= beat:
-            break
-        bit_gen.advance(starts[r] - at)
-        terms[r] = low + span * float(rng.random(counts[r]).max())
-        at = starts[r + 1]
-    if at < starts[-1]:
-        bit_gen.advance(starts[-1] - at)
+    first = at = 0  # the timestamp's first stream position, and the generator's
+    for plan in plans:
+        counts, starts = plan.counts, plan.starts
+        terms = [top] * len(counts)
+        for r in plan.order:
+            if sum(terms) <= best:
+                break
+            bit_gen.advance(first + starts[r] - at)
+            terms[r] = low + span * _largest_uniform(rng, counts[r])
+            at = first + starts[r + 1]
+        best = max(best, sum(terms, 0.0))
+        first += starts[-1]
+    bit_gen.advance(first - at)
     if saved["has_uint32"]:
         # advance drops the buffered 32-bit half that random() leaves alone
         bit_gen.state = {**bit_gen.state, "has_uint32": 1, "uinteger": saved["uinteger"]}
-    return sum(terms)
+    return best
 
 
 def flood_reachability(adj: np.ndarray) -> tuple[np.ndarray, int, int, list[int]]:

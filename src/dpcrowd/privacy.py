@@ -13,9 +13,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Iterator
-from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -28,9 +25,6 @@ __all__ = [
     "allocate_uniform",
     "allocate_adaptive",
 ]
-
-_amount = itemgetter(1)  # (timestamp, amount) spend -> amount
-
 
 class BudgetError(RuntimeError):
     """A charge would exceed the privacy budget in some window."""
@@ -103,20 +97,22 @@ class PrivacyLedger:
         self.dims = dims
         self.w = int(w)
         self.spends: list[list[tuple[int, float]]] = [[] for _ in range(dims)]
-
-    def _window_spends(self, dim: int, lo: int, hi: int) -> Iterator[float]:
-        """Amounts spent at timestamps lo..hi.
-
-        Spends are recorded in timestamp order, so two bisections on (ts,)
-        find the window without walking the history.
-        """
-        spends = self.spends[dim]
-        first = bisect_left(spends, (lo,))
-        return map(_amount, spends[first:bisect_left(spends, (hi + 1,), first)])
+        # the same spends per dimension as two lists, for window queries;
+        # audit reads only spends
+        self._stamps: list[list[int]] = [[] for _ in range(dims)]
+        self._amounts: list[list[float]] = [[] for _ in range(dims)]
 
     def remaining_window(self, dim: int, t: int) -> float:
-        """Budget left for a new charge at t: total minus the trailing-window spend."""
-        return self.epsilon_total - math.fsum(self._window_spends(dim, t - self.w + 1, t - 1))
+        """Budget left for a new charge at t: total minus the trailing-window spend.
+
+        The trailing window is t - w + 1 .. t - 1; spends are recorded in
+        timestamp order, so bisections on the stamps find it.
+        """
+        stamps = self._stamps[dim]
+        first = bisect_left(stamps, t - self.w + 1)
+        # a spend at t (an earlier charge at t) lies outside it
+        stop = bisect_left(stamps, t, first) if stamps and stamps[-1] >= t else len(stamps)
+        return self.epsilon_total - math.fsum(self._amounts[dim][first:stop])
 
     def charge(self, dim: int, t: int, eps_t: float) -> None:
         """Record a spend of eps_t at timestamp t, or raise BudgetError.
@@ -129,21 +125,27 @@ class PrivacyLedger:
             raise KeyError(f"dimension {dim} out of range [0, {self.dims})")
         if eps_t < 0 or not math.isfinite(eps_t):
             raise ValueError(f"charge must be finite and non-negative, got {eps_t}")
-        spends = self.spends[dim]
-        if spends and t < spends[-1][0]:
+        stamps = self._stamps[dim]
+        if stamps and t < stamps[-1]:
             raise ValueError(
-                f"charge at t={t} precedes the latest spend at t={spends[-1][0]} "
+                f"charge at t={t} precedes the latest spend at t={stamps[-1]} "
                 f"in dimension {dim}; charges must arrive in timestamp order"
             )
         # Every window holding t must stay within budget. No spend is newer
         # than t, so each later window holds a subset of the spends in the
-        # window ending at t; with non-negative spends and an exact sum, that
-        # window is the only one that can breach.
+        # window ending at t, which runs to the newest spend; with
+        # non-negative spends and an exact sum, it is the only one that can
+        # breach.
         lo = t - self.w + 1
-        attempted = math.fsum(chain(self._window_spends(dim, lo, t), (eps_t,)))
+        amounts = self._amounts[dim]
+        window = amounts[bisect_left(stamps, lo):]
+        window.append(eps_t)
+        attempted = math.fsum(window)
         if attempted > self.epsilon_total:
             raise BudgetError(dim, (lo, t), attempted, self.epsilon_total)
-        spends.append((t, eps_t))
+        self.spends[dim].append((t, eps_t))
+        stamps.append(t)
+        amounts.append(eps_t)
 
     def audit(self) -> None:
         """Independent re-scan of every recorded window; raises on violation.

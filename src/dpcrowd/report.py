@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .config import config_to_flat
-from .metrics import summarize
+from .metrics import MetricsSummary, summarize
 from .runners import RunResult
 
 __all__ = [
@@ -64,11 +64,15 @@ def _cell(value) -> str:
     return str(value)
 
 
-def summary_record(result: RunResult) -> dict:
-    """Flatten one finished run into the fixed summary schema."""
+def summary_record(result: RunResult, metrics: MetricsSummary | None = None) -> dict:
+    """Flatten one finished run into the fixed summary schema.
+
+    metrics is the run's summarize(), computed here when not given.
+    """
     cfg = result.config
     stats = result.stats
-    m = summarize(result.releases, result.truth)
+    if metrics is None:
+        metrics = summarize(result.releases, result.truth)
     return {
         "schema_version": SCHEMA_VERSION,
         "algorithm": cfg.algorithm,
@@ -77,8 +81,8 @@ def summary_record(result: RunResult) -> dict:
         "w": cfg.w,
         "rho": float(cfg.net.rho),
         "m": cfg.net.m,
-        "are": m.are,
-        "ace": m.ace,
+        "are": metrics.are,
+        "ace": metrics.ace,
         "packets": stats.packets,
         "bytes": stats.payload_bytes,
         "max_latency_ms": float(stats.max_latency_ms),
@@ -94,38 +98,42 @@ def write_summary_csv(records: Iterable[dict], path) -> None:
             writer.writerow([_cell(rec[col]) for col in SUMMARY_COLUMNS])
 
 
-def trace_rows(result: RunResult) -> list[tuple]:
-    m = summarize(result.releases, result.truth)
-    seed = result.config.seed
-    rows = []
-    for idx in range(len(m.are_trace)):
-        rows.append(
-            (
-                seed,
-                idx + 1,
-                float(m.are_trace[idx]),
-                float(m.ace_trace[idx]),
-                int(result.stats.packets_by_t[idx]),
-            )
-        )
-    return rows
+def trace_rows(result: RunResult, metrics: MetricsSummary | None = None) -> list[tuple]:
+    """(seed, t, are, ace, packets) per timestamp; metrics as in summary_record."""
+    if metrics is None:
+        metrics = summarize(result.releases, result.truth)
+    timestamps = len(metrics.are_trace)
+    return list(zip(
+        [result.config.seed] * timestamps, range(1, timestamps + 1),
+        metrics.are_trace.tolist(), metrics.ace_trace.tolist(), result.stats.packets_by_t,
+    ))
+
+
+# one trace row: its cells as _cell writes them, none of which csv quotes
+_TRACE_LINE = "%d,%d,%.17g,%.17g,%d\n"
+
+
+def _write_trace(runs, path) -> None:
+    """Trace CSV of (result, metrics) pairs."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        for result, metrics in runs:
+            fh.writelines(_TRACE_LINE % row for row in trace_rows(result, metrics))
 
 
 def write_trace_csv(results: Iterable[RunResult], path) -> None:
     """Long-format per-timestamp trace, one block of rows per run."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for result in results:
-            for row in trace_rows(result):
-                writer.writerow([_cell(v) for v in row])
+    _write_trace(((r, summarize(r.releases, r.truth)) for r in results), path)
 
 
-def json_payload(results: Iterable[RunResult]) -> dict:
-    """Nested report: summary fields plus a full config echo per run."""
+def json_payload(results: Iterable[RunResult], records: list[dict] | None = None) -> dict:
+    """Nested report: summary fields plus a full config echo per run.
+
+    records are the runs' summary records, made here when not given.
+    """
+    results = list(results)
     reports = []
-    for result in results:
-        rec = summary_record(result)
+    for result, rec in zip(results, records or map(summary_record, results)):
         reports.append(
             {
                 "algorithm": rec["algorithm"],
@@ -147,20 +155,27 @@ def json_payload(results: Iterable[RunResult]) -> dict:
     return {"schema_version": SCHEMA_VERSION, "reports": reports}
 
 
-def write_json(results: Iterable[RunResult], path) -> None:
-    payload = json_payload(results)
+def write_json(results: Iterable[RunResult], path, records: list[dict] | None = None) -> None:
+    payload = json_payload(results, records)
     with open(path, "w", newline="") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
-def write_report(results, fmt: str, path, trace_path=None) -> None:
-    results = list(results)
-    if fmt == "csv":
-        write_summary_csv([summary_record(r) for r in results], path)
-    elif fmt == "json":
-        write_json(results, path)
-    else:
+def write_report(results, fmt: str, path, trace_path=None) -> list[dict]:
+    """Write the report (and trace) of results; returns their summary records.
+
+    Each run is summarized once, for its record and its trace alike.
+    """
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown report format: {fmt!r}")
+    results = list(results)
+    metrics = [summarize(r.releases, r.truth) for r in results]
+    records = [summary_record(r, s) for r, s in zip(results, metrics)]
+    if fmt == "csv":
+        write_summary_csv(records, path)
+    else:
+        write_json(results, path, records)
     if trace_path is not None:
-        write_trace_csv(results, trace_path)
+        _write_trace(zip(results, metrics), trace_path)
+    return records

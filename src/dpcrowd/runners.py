@@ -22,8 +22,8 @@ from .datasets import build_transition, generate_stream, load_csv
 from .grouping import GroupingThresholds, group_regions, may_merge, perturb_groups, \
     predict_region
 from .model import NonFiniteStreamError, ProcessModel, partition_users
-from .netsim import CommStats, LatencyPlan, TopologySchedule, _delivery_latency, degrees, \
-    flood_payload_bytes, flood_reachability, message_num_bytes
+from .netsim import CommStats, LatencyPlan, TopologySchedule, degrees, flood_payload_bytes, \
+    flood_reachability, max_delivery_latency, message_num_bytes
 from .privacy import BudgetError, PrivacyLedger, allocate_adaptive, allocate_uniform, \
     perturb_count
 from .sampling import PidController, SamplingSchedule, feedback_error, next_interval, \
@@ -154,6 +154,7 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     pid_delta, theta, xi = cfg.pid.delta, cfg.pid.theta, cfg.pid.xi
     alpha, beta = cfg.kcif.alpha, cfg.kcif.beta
     variance_floor, stale_self = cfg.kcif.variance_floor, cfg.kcif.fuse_stale_self
+    clamp = cfg.kcif.clamp_releases
     latency_center = cfg.net.latency_ms_center
     process = _build_process(cfg)
     transition = process.transition
@@ -192,12 +193,15 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     for i, x in enumerate(obs_noise):
         x *= noise_scale[:, i]
         x += coeffs[:, i] * truth
-    # per-timestamp rows; a frozen partition's are views of its one partition
+    # per-timestamp rows; a frozen partition's are views of its one partition,
+    # read once a run
+    frozen = cfg.model.freeze_partition
     sensing_parts = coeff_sqs * q_diag
     coeffs, coeff_sqs, sensings = (
         np.broadcast_to(a, (timestamps, m, a.shape[2]))
         for a in (coeffs, coeff_sqs, sensing_parts)
     )
+    coeff_col, coeff_sq_col = coeffs[0], coeff_sqs[0]
 
     def rhat_table(sensing: np.ndarray, eps: float) -> np.ndarray:
         """max(R_hat, floor) of every pair at one budget, per partition row."""
@@ -226,19 +230,26 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     block_len = cfg.w if policy.window_restart else timestamps
 
     releases = np.empty((m, timestamps, d))
-    observations = np.empty((m, timestamps, d))
+    # a non-private run observes its raw aggregates; a private one writes
+    # each timestamp's z straight into its row
+    observations = np.empty((m, timestamps, d)) if private else obs_noise
     posterior_var_trace = np.empty((m, timestamps, d))
     sampled_trace = np.zeros((m, timestamps, d), dtype=bool)
     # a flooding run broadcasts from every server every timestamp; a one-hop
-    # run records its broadcasters as it goes
+    # run's broadcasters are the servers that sampled, found after the loop
     broadcast_trace = np.full((m, timestamps), policy.flood)
-    stats = CommStats(broadcasts=np.full(m, timestamps if policy.flood else 0, dtype=np.int64))
     packet_bytes = message_num_bytes(d) if policy.communicate else flood_payload_bytes(d)
 
     adj_needed = (policy.communicate or policy.flood) and m > 1
     # per-adjacency work runs once per adjacency array: once a run on a
-    # static topology, once a timestamp on a dynamic one
-    seen_adj = None
+    # static topology, once a timestamp on a dynamic one; each array leaves
+    # its node degrees (one-hop) or its flood's LatencyPlan here
+    dynamic = cfg.net.dynamic
+    traffic = []
+    if private:
+        # a timestamp with nothing due reads these and writes none of them
+        none_sampled = np.zeros((m, d), dtype=bool)
+        no_terms = np.zeros((m, d))
 
     for tidx in range(timestamps):
         t = tidx + 1
@@ -290,16 +301,16 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
             all_initialized = False
             last_rhat = np.full((m, d), np.inf)
 
-        adj = topo.adjacency_at(t) if adj_needed else None
-        if adj is not seen_adj:
-            seen_adj = adj
+        if adj_needed and (dynamic or not tidx):
+            adj = topo.adjacency_at(t)
             if policy.communicate:
                 _check_consensus_stability(adj, beta)
                 link = adj.astype(float)
                 degree = degrees(adj)
+                traffic.append(degree)
             else:
-                known, _, flood_packets, flood_rounds = flood_reachability(adj)
-                flood_plan = LatencyPlan.of(flood_rounds)
+                known, _, _, flood_rounds = flood_reachability(adj)
+                traffic.append(LatencyPlan.of(flood_rounds))
                 # servers holding the same payload set must release bitwise
                 # identical averages, so sum each distinct set once in index
                 # order instead of letting a blocked matmul pick the order
@@ -307,7 +318,8 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                 groups = [np.flatnonzero(row) for row in uniq]
                 group_counts = uniq.sum(axis=1).astype(float)[:, None]
                 sums = np.empty((len(groups), d))
-        coeff_col, coeff_sq_col = coeffs[tidx], coeff_sqs[tidx]
+        if not frozen:
+            coeff_col, coeff_sq_col = coeffs[tidx], coeff_sqs[tidx]
         # Raw aggregates: consumed by the perturbation/selection block below
         # and by nothing else in private modes.
         x_raw = obs_noise[:, tidx, :]
@@ -319,17 +331,24 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
         if not private:
             z = x_raw
         else:
+            # An unsampled dimension repeats the server's previous release.
+            z = observations[:, tidx, :]
+            z[...] = releases[:, tidx - 1, :] if tidx else 0.0
+            due_pairs = calendar.pop(t, None)
+            granted_by_server: dict[int, list[int]] = {}
+        if private and due_pairs is None:  # nothing due, so nothing to set up
+            sampled, u, weight, rhat = none_sampled, no_terms, no_terms, rhat_plain[tidx]
+        elif private:
             grants = np.zeros((m, d))
-            rhat = rhat_plain[tidx].copy()
+            # the unsampled pairs' R_hat is read only by the initializer and
+            # the stale term; all else reads the granted pairs' u and weight
+            rhat = rhat_plain[tidx].copy() if stale_self or not all_initialized else None
             u = np.zeros((m, d))
             weight = np.zeros((m, d))
             forecasts = None  # every server's forecasts, once a timestamp
-            # An unsampled dimension repeats the server's previous release.
-            z = releases[:, tidx - 1, :].copy() if tidx else np.zeros((m, d))
             eps_left_after: dict[tuple[int, int], float] = {}
-            granted_by_server: dict[int, list[int]] = {}
             # sorted, so each server's popped dimensions come in ascending order
-            for i, popped in itertools.groupby(sorted(calendar.pop(t, ())), key=itemgetter(0)):
+            for i, popped in itertools.groupby(sorted(due_pairs), key=itemgetter(0)):
                 ledger, schedule_row = ledgers[i], schedules[i]
                 grant_row = [0.0] * d
                 granted: list[int] = []
@@ -402,7 +421,9 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                     else:
                         r = rhat_granted.item(tidx - block_start, i, k)
                     value, info = coeff * released / r, coeff_sq / r
-                    rhat[i, k], u[i, k], weight[i, k] = r, value, info
+                    u[i, k], weight[i, k] = value, info
+                    if rhat is not None:
+                        rhat[i, k] = r
                     if not (math.isfinite(r) and math.isfinite(value) and math.isfinite(info)):
                         per_pair = False
             sampled = grants > 0.0
@@ -455,21 +476,14 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
             fused_weight = weight + np.where(stale, coeff_sq_col / last_rhat, 0.0)
             last_rhat = np.where(sampled, rhat, last_rhat)
 
-        # this timestamp's traffic: packets and deliveries per round
-        packets, rounds = 0, ()
         prior_delta = None  # no neighbours' priors: no consensus term
-        if policy.communicate:
+        if policy.communicate and m > 1:
             active = sampled.any(axis=1)
-            if m > 1:
-                fused_value = fused_value + link @ u
-                fused_weight = fused_weight + link @ weight
-                nbr_count = link @ active.astype(float)
-                prior_sum = link @ (prior * active[:, None])
-                prior_delta = prior_sum - nbr_count[:, None] * prior
-                packets = int(degree[active].sum())
-                rounds = (packets,)
-                broadcast_trace[:, tidx] = active
-            stats.broadcasts += active
+            fused_value = fused_value + link @ u
+            fused_weight = fused_weight + link @ weight
+            nbr_count = link @ active.astype(float)
+            prior_sum = link @ (prior * active[:, None])
+            prior_delta = prior_sum - nbr_count[:, None] * prior
 
         posterior, posterior_var = kcif.update_from_delta(
             prior, prior_var, fused_value, fused_weight, prior_delta, beta
@@ -485,15 +499,10 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                 for idx, total in zip(groups, sums):
                     np.add.reduce(posterior[idx], axis=0, out=total)
                 release_t = (sums / group_counts)[inverse]
-            packets, rounds = flood_packets, flood_plan
-        # only a latency above the running maximum changes the report
-        latency = _delivery_latency(rounds, latency_rng, latency_center, stats.max_latency_ms)
-        stats.record_round(packets, packets * packet_bytes, latency)
 
-        if cfg.kcif.clamp_releases:
+        if clamp:
             release_t = np.maximum(release_t, 0.0)
         releases[:, tidx, :] = release_t
-        observations[:, tidx, :] = z
         posterior_var_trace[:, tidx, :] = posterior_var
         sampled_trace[:, tidx, :] = sampled
 
@@ -521,6 +530,24 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                             interval = next_interval(schedule.interval, control, theta, xi)
                         schedule.note_sampled(t, interval)
                     calendar.setdefault(schedule.next_sample_t, []).append((i, k))
+
+    # Traffic follows from what the run recorded. A one-hop server
+    # broadcasts where it sampled, to each neighbour; a flood sends its
+    # plan's deliveries. A one-hop exchange is one round, so the run's
+    # rounds make one plan for the latency maximum.
+    active = sampled_trace.any(axis=2) if policy.communicate else broadcast_trace
+    plans, packets_by_t = [], [0] * timestamps
+    if adj_needed and policy.communicate:
+        broadcast_trace = active
+        packets_by_t = (np.stack(traffic) * active.T).sum(axis=1).tolist()
+        plans = [LatencyPlan.of([sum(packets_by_t)])]
+    elif adj_needed:
+        plans = traffic if dynamic else traffic * timestamps
+        packets_by_t = [plan.starts[-1] for plan in plans]
+    stats = CommStats.of(
+        packets_by_t, packet_bytes, max_delivery_latency(plans, latency_rng, latency_center),
+        active.sum(axis=1),
+    )
 
     result = RunResult(
         config=cfg,

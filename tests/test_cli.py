@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dpcrowd import cli
+from dpcrowd import cli, report
 from dpcrowd.cli import expand_runs, main
 from dpcrowd.config import _KEYS, ALGORITHMS, ExperimentConfig, config_from_mapping, \
     config_to_flat, parse_config_text
@@ -92,6 +92,25 @@ def test_sweep_grid_rows(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 5
     assert [float(r["epsilon"]) for r in rows] == [0.1, 0.3, 0.5, 0.7, 1.0]
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "epsilon", "--values", "0.5"]])
+def test_summaries_print_from_the_report_records(tmp_path, capsys, monkeypatch, command):
+    # each run is summarized once, by the report; stdout prints its records
+    cfg = _write_cfg(tmp_path, BASE_CFG + "runs = 2\n")
+    calls = []
+    summarize = report.summarize
+    monkeypatch.setattr(report, "summarize", lambda *a: calls.append(a) or summarize(*a))
+    out = tmp_path / "r.csv"
+    assert main([command[0], str(cfg), *command[1:], "--out", str(out)]) == 0
+    assert len(calls) == 2
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        f"dpcrowd seed={r['seed']} eps={float(r['epsilon']):g} are={float(r['are']):.6g} "
+        f"ace={float(r['ace']):.6g} packets={r['packets']}"
+        for r in rows
+    ]
 
 
 def test_sweep_bad_value_fails(tmp_path):

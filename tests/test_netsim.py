@@ -2,20 +2,21 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpcrowd import netsim, runners
-from dpcrowd.config import ExperimentConfig, ModelConfig, NetConfig
+from dpcrowd.config import _POLICIES, ExperimentConfig, ModelConfig, NetConfig
 from dpcrowd.netsim import (
     CommStats,
     LatencyPlan,
     TopologySchedule,
-    _delivery_latency,
     flood_payload_bytes,
     flood_reachability,
     generate_topology,
     degrees,
+    max_delivery_latency,
     message_num_bytes,
 )
 from dpcrowd.runners import run_experiment
@@ -110,7 +111,7 @@ def test_silent_round_zero_packets():
     # a round with no broadcast costs no latency draw, so later draws keep their order
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state
-    assert _delivery_latency([0], rng, 100.0) == 0.0
+    assert max_delivery_latency([LatencyPlan.of([0])], rng, 100.0) == 0.0
     assert rng.bit_generator.state == state
     res, adj = _run("dpcrowd")
     expected = [int(degrees(adj)[res.broadcast[:, t]].sum()) for t in range(30)]
@@ -127,7 +128,7 @@ def test_degree_sum_accounting():
 def test_latency_bounds():
     rng = np.random.default_rng(4)
     for count in (1, 10, 1000):
-        assert 80.0 <= _delivery_latency([count], rng, 100.0) <= 120.0
+        assert 80.0 <= max_delivery_latency([LatencyPlan.of([count])], rng, 100.0) <= 120.0
     res, _ = _run("nonprivate")
     assert 80.0 <= res.stats.max_latency_ms <= 120.0
 
@@ -147,7 +148,7 @@ def test_batched_latency_matches_per_round_draws(counts, center, seed):
     per_round = np.random.default_rng(seed)
     batched = np.random.default_rng(seed)
     want = _per_round_latency(counts, per_round, center)
-    assert _delivery_latency(counts, batched, center) == want
+    assert max_delivery_latency([LatencyPlan.of(counts)], batched, center) == want
     assert batched.random() == per_round.random()
 
 
@@ -156,6 +157,43 @@ def _per_round_latency(counts, rng, center):
     return float(
         sum(float(rng.uniform(0.8 * center, 1.2 * center, size=n).max()) for n in counts if n)
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts_by_t=st.lists(st.lists(st.integers(0, 300), max_size=5), max_size=6),
+    center=st.floats(1e-3, 1e4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(counts_by_t=[[37], [0], [5, 400, 3], [12]], center=100.0, seed=5)
+def test_run_maximum_matches_per_timestamp_draws(counts_by_t, center, seed):
+    # the running maximum over timestamps, each drawn delivery by delivery
+    every = np.random.default_rng(seed)
+    lazy = np.random.default_rng(seed)
+    want = 0.0
+    for counts in counts_by_t:
+        want = max(want, _per_round_latency(counts, every, center))
+    got = max_delivery_latency([LatencyPlan.of(c) for c in counts_by_t], lazy, center)
+    assert got.hex() == want.hex()
+    assert lazy.random() == every.random()
+    # single-round timestamps in a row may come as one plan of their sum
+    single = [sum(c) for c in counts_by_t]
+    merged = np.random.default_rng(seed)
+    every = np.random.default_rng(seed)
+    want = max([0.0] + [_per_round_latency([n], every, center) for n in single])
+    got = max_delivery_latency([LatencyPlan.of([sum(single)])], merged, center)
+    assert got.hex() == want.hex()
+    assert merged.random() == every.random()
+
+
+def test_long_round_is_drawn_in_chunks():
+    # a round longer than one chunk takes the same stream positions and maximum
+    n = 3 * netsim._DRAW_CHUNK + 5
+    chunked = np.random.default_rng(8)
+    whole = np.random.default_rng(8)
+    want = _per_round_latency([n], whole, 100.0)
+    assert max_delivery_latency([LatencyPlan.of([n])], chunked, 100.0) == want
+    assert chunked.random() == whole.random()
 
 
 _BEATS = ("-inf", "zero", "exact", "below", "above", "ceiling")
@@ -168,14 +206,10 @@ _BEATS = ("-inf", "zero", "exact", "below", "above", "ceiling")
     seed=st.integers(0, 2**32 - 1),
     beat_kind=st.sampled_from(_BEATS),
     buffered=st.booleans(),
-    planned=st.booleans(),
 )
-@example(counts=[5, 400, 3], center=100.0, seed=1, beat_kind="below", buffered=False,
-         planned=False)
-@example(counts=[5, 400, 3], center=100.0, seed=1, beat_kind="exact", buffered=True,
-         planned=True)
-def test_lazy_latency_is_exact_above_the_value_to_beat(counts, center, seed, beat_kind, buffered,
-                                                       planned):
+@example(counts=[5, 400, 3], center=100.0, seed=1, beat_kind="below", buffered=False)
+@example(counts=[5, 400, 3], center=100.0, seed=1, beat_kind="exact", buffered=True)
+def test_lazy_latency_is_exact_above_the_value_to_beat(counts, center, seed, beat_kind, buffered):
     full = np.random.default_rng(seed)
     lazy = np.random.default_rng(seed)
     if buffered:  # a buffered 32-bit half, which random() leaves alone
@@ -190,12 +224,9 @@ def test_lazy_latency_is_exact_above_the_value_to_beat(counts, center, seed, bea
         "above": math.nextafter(exact, math.inf),
         "ceiling": 1.2 * center * len(counts),
     }[beat_kind]
-    # the engine passes a flood's rounds as a LatencyPlan built once per adjacency
-    got = _delivery_latency(LatencyPlan.of(counts) if planned else counts, lazy, center, beat)
-    if exact > beat:
-        assert got.hex() == exact.hex()
-    else:
-        assert got <= beat
+    # beat is the maximum of the timestamps before: exact wherever it is beaten
+    got = max_delivery_latency([LatencyPlan.of(counts)], lazy, center, beat)
+    assert got.hex() == max(beat, exact).hex()
     # the stream is left past every draw of the timestamp either way
     assert lazy.bit_generator.state == full.bit_generator.state
     assert lazy.random() == full.random()
@@ -217,17 +248,27 @@ def _dynamic_flood(**net):
 
 
 def test_lazy_maximum_keeps_dynamic_flood_reports(monkeypatch):
-    # the engine passes its running maximum as the value to beat; drawing
-    # every delivery instead must give the same report, bit for bit
+    # the engine's one latency pass skips rounds that cannot beat the running
+    # maximum; drawing every delivery instead must give the same report, bit
+    # for bit
     cfg = _dynamic_flood(dynamic=True)
     lazy = run_experiment(cfg)
-    full_draw = netsim._delivery_latency
-    monkeypatch.setattr(runners, "_delivery_latency",
-                        lambda counts, rng, center, beat: full_draw(counts, rng, center))
+    passes = []
+
+    def every_delivery(plans, rng, center):
+        passes.append(plans)
+        best = 0.0
+        for plan in plans:
+            best = max(best, _per_round_latency(plan.counts, rng, center))
+        return best
+
+    monkeypatch.setattr(runners, "max_delivery_latency", every_delivery)
     full = run_experiment(cfg)
+    (plans,) = passes  # one pass a run, over every timestamp
+    assert len(plans) == cfg.timestamps
+    assert len({plan.counts for plan in plans}) > 1  # the round lists did change
     assert lazy.stats.max_latency_ms.hex() == full.stats.max_latency_ms.hex()
     assert lazy.stats.packets_by_t == full.stats.packets_by_t
-    assert len(set(full.stats.packets_by_t)) > 1  # the round lists did change
     assert np.array_equal(lazy.releases, full.releases)
 
 
@@ -247,17 +288,17 @@ class _CountingRng:
 def test_static_flood_draws_few_latencies(monkeypatch):
     # after the first timestamp a static flood repeats its rounds, and the
     # smallest round's draw almost always settles that the maximum stands
-    counting = {}
-    lazy_draw = netsim._delivery_latency
+    counting = []
+    lazy_pass = netsim.max_delivery_latency
 
-    def draw(counts, rng, center, beat):
-        wrapped = counting.setdefault(id(rng), _CountingRng(rng))
-        return lazy_draw(counts, wrapped, center, beat)
+    def draw(plans, rng, center):
+        counting.append(_CountingRng(rng))
+        return lazy_pass(plans, counting[-1], center)
 
-    monkeypatch.setattr(runners, "_delivery_latency", draw)
+    monkeypatch.setattr(runners, "max_delivery_latency", draw)
     cfg = replace(_dynamic_flood(), timestamps=1000, net=NetConfig(m=50, rho=0.3, seed=4))
     res = run_experiment(cfg)
-    (wrapped,) = counting.values()
+    (wrapped,) = counting
     assert 0 < wrapped.drawn < 0.05 * res.stats.packets
 
 
@@ -309,10 +350,55 @@ def test_flood_beats_one_hop_packets():
 
 
 def test_comm_stats_accumulate():
-    stats = CommStats()
-    stats.record_round(3, 96, 110.0)
-    stats.record_round(2, 64, 90.0)
+    stats = CommStats.of(np.array([3, 2]), 32, 110.0, np.array([1, 1]))
     assert stats.packets == 5
     assert stats.payload_bytes == 160
     assert stats.max_latency_ms == 110.0
     assert stats.packets_by_t == [3, 2]
+    assert all(type(p) is int for p in stats.packets_by_t)
+
+
+def _per_timestamp_stats(cfg, res):
+    """packets_by_t, broadcasts and max latency of a run, one timestamp at a
+    time, from its sampled pairs and topology, drawing every delivery."""
+    m, d = cfg.net.m, cfg.model.d
+    policy = _POLICIES[cfg.algorithm]
+    latency_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4 + m)[2])
+    topo = TopologySchedule(m=m, density=cfg.net.rho, seed=cfg.net.seed, dynamic=cfg.net.dynamic)
+    packets_by_t, broadcasts, best = [], np.zeros(m, dtype=np.int64), 0.0
+    for tidx in range(cfg.timestamps):
+        rounds = []
+        if policy.communicate:
+            active = res.sampled[:, tidx].any(axis=1)
+            broadcasts += active
+            if m > 1:
+                assert np.array_equal(res.broadcast[:, tidx], active)
+                rounds = [int(degrees(topo.adjacency_at(tidx + 1))[active].sum())]
+        elif policy.flood:
+            broadcasts += 1
+            if m > 1:
+                rounds = flood_reachability(topo.adjacency_at(tidx + 1))[3]
+        packets_by_t.append(sum(rounds))
+        best = max(best, _per_round_latency(rounds, latency_rng, cfg.net.latency_ms_center))
+    size = message_num_bytes(d) if policy.communicate else flood_payload_bytes(d)
+    return packets_by_t, size, broadcasts, best
+
+
+@pytest.mark.parametrize("algorithm", ["dpcrowd", "nonprivate", "fast", "dfast"])
+@pytest.mark.parametrize("m", [1, 2, 7])
+@pytest.mark.parametrize("dynamic", [False, True])
+def test_comm_stats_match_per_timestamp_reference(algorithm, m, dynamic):
+    cfg = ExperimentConfig(
+        algorithm=algorithm, seed=6, timestamps=60, users=3000, model=ModelConfig(q=(1e3,)),
+        net=NetConfig(m=m, rho=0.4, seed=2, dynamic=dynamic),
+    )
+    res = run_experiment(cfg)
+    packets_by_t, size, broadcasts, best = _per_timestamp_stats(cfg, res)
+    stats = res.stats
+    assert stats.packets_by_t == packets_by_t
+    assert stats.packets == sum(packets_by_t)
+    assert stats.payload_bytes == stats.packets * size
+    assert np.array_equal(stats.broadcasts, broadcasts)
+    assert stats.max_latency_ms.hex() == best.hex()
+    if algorithm == "dpcrowd" and m > 1:
+        assert 0 in packets_by_t  # a timestamp where no server sampled

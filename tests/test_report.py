@@ -1,11 +1,18 @@
 import csv
+import io
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dpcrowd import report
 from dpcrowd.config import ExperimentConfig, ModelConfig, NetConfig
 from dpcrowd.report import (
     SUMMARY_COLUMNS,
+    _TRACE_LINE,
+    _cell,
     format_float,
     json_payload,
     summary_record,
@@ -110,3 +117,40 @@ def test_unknown_format_rejected(tmp_path):
 def test_dfast_report_has_zero_ace():
     rec = summary_record(run_experiment(_small_cfg(algorithm="dfast")))
     assert rec["ace"] == 0.0
+
+
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(
+    st.integers(-2**63, 2**64), st.integers(1, 10**9), st.floats(), st.floats(),
+    st.integers(0, 2**63),
+), max_size=20))
+@example(rows=[
+    (0, 1, -0.0, 5e-324, 0),
+    (7, 2, math.nan, math.inf, 12),
+    (-3, 3, -math.inf, _SMALLEST_NORMAL / 3, 1),
+    (1, 4, 0.1, -_SMALLEST_NORMAL, 2**40),
+])
+def test_trace_lines_match_csv_writer(rows):
+    # each trace row is one format string, byte for byte what csv.writer
+    # writes for the row's _cell strings
+    want = io.StringIO(newline="")
+    csv.writer(want, lineterminator="\n").writerows([_cell(v) for v in row] for row in rows)
+    assert "".join(_TRACE_LINE % row for row in rows) == want.getvalue()
+
+
+def test_write_report_summarizes_each_run_once(tmp_path, monkeypatch):
+    results = [run_experiment(_small_cfg(seed=s)) for s in (1, 2)]
+    calls = []
+    summarize = report.summarize
+
+    def counting(releases, truth):
+        calls.append(1)
+        return summarize(releases, truth)
+
+    monkeypatch.setattr(report, "summarize", counting)
+    records = write_report(results, "csv", tmp_path / "r.csv", trace_path=tmp_path / "t.csv")
+    assert len(calls) == 2
+    assert records == [summary_record(r) for r in results]
