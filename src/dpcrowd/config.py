@@ -120,6 +120,8 @@ class KcifConfig:
     # beta * lambda_max(graph Laplacian) < 2, so dense graphs need it small
     beta: float = 0.01
     variance_floor: float = 1e-12
+    # only false is valid (validate); the key stays so that the report's
+    # config echo keeps its fields
     fuse_stale_self: bool = False
     clamp_releases: bool = False
 
@@ -230,6 +232,11 @@ class ExperimentConfig:
         if self.kcif.variance_floor <= 0:
             # R_hat is a divisor: a zero-user server's is 0 in non-private runs
             raise ConfigError("kcif.variance_floor must be positive")
+        if self.kcif.fuse_stale_self:
+            raise ConfigError(
+                "kcif.fuse_stale_self = true is not supported: it fuses a server's previous"
+                " release as fresh evidence at each skipped timestamp, and the estimates diverge"
+            )
         # the default grouping.eta1 divides by the mean budget epsilon / w
         eta1_default = policy.adaptive and self.grouping.enabled and self.grouping.eta1 is None
         if eta1_default and self.epsilon / self.w == 0:

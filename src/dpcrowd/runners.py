@@ -153,7 +153,7 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     epsilon, mu, p_max = cfg.epsilon, cfg.mu, cfg.p_max
     pid_delta, theta, xi = cfg.pid.delta, cfg.pid.theta, cfg.pid.xi
     alpha, beta = cfg.kcif.alpha, cfg.kcif.beta
-    variance_floor, stale_self = cfg.kcif.variance_floor, cfg.kcif.fuse_stale_self
+    variance_floor = cfg.kcif.variance_floor
     clamp = cfg.kcif.clamp_releases
     latency_center = cfg.net.latency_ms_center
     process = _build_process(cfg)
@@ -299,7 +299,6 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
             posterior_var = np.tile(kcif.uninformed_variance(q_diag), (m, 1))
             initialized = np.zeros((m, d), dtype=bool)
             all_initialized = False
-            last_rhat = np.full((m, d), np.inf)
 
         if adj_needed and (dynamic or not tidx):
             adj = topo.adjacency_at(t)
@@ -340,9 +339,9 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
             sampled, u, weight, rhat = none_sampled, no_terms, no_terms, rhat_plain[tidx]
         elif private:
             grants = np.zeros((m, d))
-            # the unsampled pairs' R_hat is read only by the initializer and
-            # the stale term; all else reads the granted pairs' u and weight
-            rhat = rhat_plain[tidx].copy() if stale_self or not all_initialized else None
+            # the unsampled pairs' R_hat is read only by the initializer; all
+            # else reads the granted pairs' u and weight
+            rhat = rhat_plain[tidx].copy() if not all_initialized else None
             u = np.zeros((m, d))
             weight = np.zeros((m, d))
             forecasts = None  # every server's forecasts, once a timestamp
@@ -462,19 +461,7 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
         if not per_pair:
             u = np.where(sampled, coeff_col * z / rhat, 0.0)
             weight = np.where(sampled, coeff_sq_col / rhat, 0.0)
-        # Without stale reuse no zero term is added: u + 0.0 would only turn
-        # a -0.0 into +0.0. The update's fused_value - fused_weight * prior
-        # then differs only in the sign of a zero, where fused_weight * prior
-        # is +0.0. A weight coeff^2 / R_hat is never -0.0, so there prior is
-        # +0.0 or positive, and prior plus a zero of either sign is prior:
-        # the posterior keeps its bits.
         fused_value, fused_weight = u, weight
-        if stale_self:
-            # Local-only reuse of the stale value at its last effective variance.
-            stale = ~sampled & initialized & np.isfinite(last_rhat)
-            fused_value = u + np.where(stale, coeff_col * z / last_rhat, 0.0)
-            fused_weight = weight + np.where(stale, coeff_sq_col / last_rhat, 0.0)
-            last_rhat = np.where(sampled, rhat, last_rhat)
 
         prior_delta = None  # no neighbours' priors: no consensus term
         if policy.communicate and m > 1:

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from dpcrowd import cli, report
 from dpcrowd.cli import expand_runs, main
-from dpcrowd.config import _KEYS, ALGORITHMS, ExperimentConfig, config_from_mapping, \
-    config_to_flat, parse_config_text
+from dpcrowd.config import _KEYS, ALGORITHMS, ConfigError, ExperimentConfig, apply_override, \
+    config_from_mapping, config_to_flat, parse_config_text
 from dpcrowd.datasets import load_csv
 from dpcrowd.runners import run_experiment
 
@@ -230,6 +230,21 @@ def test_zero_variance_floor_is_refused(tmp_path, capsys):
     out = tmp_path / "r.csv"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert "kcif.variance_floor" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fuse_stale_self_is_diagnosed(tmp_path, capsys):
+    # the key stays in the schema (and the report echo), pinned to false
+    message = r"^kcif.fuse_stale_self = true is not supported: .* the estimates diverge$"
+    flat = parse_config_text(BASE_CFG)
+    with pytest.raises(ConfigError, match=message):
+        config_from_mapping({**flat, "kcif.fuse_stale_self": "true"})
+    with pytest.raises(ConfigError, match=message):
+        apply_override(config_from_mapping(flat), "kcif.fuse_stale_self", "on")
+    cfg = _write_cfg(tmp_path, BASE_CFG + "kcif.fuse_stale_self = true\n")
+    out = tmp_path / "r.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "kcif.fuse_stale_self" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -493,26 +493,25 @@ def _spent_eps(result, shape):
                             (1.0, 1.0), (5.0, 1.0))),
     alpha=st.sampled_from((1.0, 0.37, 3.0)),
     floor=st.sampled_from((1e-12, 50.0)),  # 50 lies above most R_hat here
-    stale_self=st.booleans(),
     w=st.integers(1, 9),
     seed=st.integers(0, 2**16),
 )
 @example(algorithm="dfast", freeze=False, budget=(1.0, 1.0), alpha=1.0, floor=1e-12,
-         stale_self=False, w=1, seed=7)  # repartitioned
+         w=1, seed=7)  # repartitioned
 @example(algorithm="dpcrowd_w", freeze=True, budget=(1.0, 1.0), alpha=1.0, floor=1e-12,
-         stale_self=False, w=7, seed=7)  # block restarts
+         w=7, seed=7)  # block restarts
 @example(algorithm="dpcrowd_w", freeze=False, budget=(0.1, 1.0), alpha=1.0, floor=1e-12,
-         stale_self=True, w=7, seed=7)
+         w=7, seed=7)
 @example(algorithm="fast", freeze=True, budget=(1e-150, 1.0), alpha=1.0, floor=1e-12,
-         stale_self=False, w=1, seed=7)  # tiny eps_uniform
+         w=1, seed=7)  # tiny eps_uniform
 @example(algorithm="dpcrowd_plus", freeze=True, budget=(5.0, 1.0), alpha=0.37, floor=50.0,
-         stale_self=False, w=5, seed=7)  # the floor binds
+         w=5, seed=7)  # the floor binds
 @example(algorithm="dpcrowd_plus", freeze=False, budget=(1e-309, 1e-300), alpha=0.37,
-         floor=50.0, stale_self=True, w=5, seed=7)
+         floor=50.0, w=5, seed=7)
 @example(algorithm="dpcrowd_plus", freeze=True, budget=(1e-160, 1.0), alpha=3.0,
-         floor=1e-12, stale_self=True, w=5, seed=7)  # every timestamp on the array path
-def test_rhat_tables_match_per_timestamp_rhat(algorithm, freeze, budget, alpha, floor,
-                                              stale_self, w, seed):
+         floor=1e-12, w=5, seed=7)  # every timestamp on the array path
+def test_rhat_tables_match_per_timestamp_rhat(algorithm, freeze, budget, alpha, floor, w,
+                                              seed):
     # A private run writes R_hat, u and weight per granted pair, in Python
     # floats, from the R_hat tables (uniform policies) or from its grant
     # (dpcrowd_plus). The fused information the filter receives must keep
@@ -536,7 +535,7 @@ def test_rhat_tables_match_per_timestamp_rhat(algorithm, freeze, budget, alpha, 
         epsilon=epsilon, w=w, sensitivity_c=sensitivity,
         model=ModelConfig(q=(100.0,), freeze_partition=freeze),
         net=NetConfig(m=len(SIZES), rho=0.5, seed=11),
-        kcif=KcifConfig(alpha=alpha, variance_floor=floor, fuse_stale_self=stale_self),
+        kcif=KcifConfig(alpha=alpha, variance_floor=floor),
     )
     with mock.patch.object(runners, "partition_users", lambda n, m, rng: next(calls).copy()), \
             mock.patch.object(kcif, "update_from_delta", recording), warnings.catch_warnings():
@@ -549,11 +548,7 @@ def test_rhat_tables_match_per_timestamp_rhat(algorithm, freeze, budget, alpha, 
     link = TopologySchedule(m=cfg.net.m, density=cfg.net.rho, seed=11).adjacency_at(1)
     link = link.astype(float)
     policy = runners._POLICIES[algorithm]
-    block = w if policy.window_restart else timestamps
     for tidx, (value, weight) in enumerate(fused):
-        if tidx % block == 0:
-            initialized = np.zeros((len(SIZES), 1), dtype=bool)
-            last_rhat = np.full((len(SIZES), 1), np.inf)
         coeff, sampled = coeffs[tidx], result.sampled[:, tidx]
         z = result.observations[:, tidx]
         with warnings.catch_warnings():
@@ -566,14 +561,8 @@ def test_rhat_tables_match_per_timestamp_rhat(algorithm, freeze, budget, alpha, 
             u = np.where(sampled, coeff * z / rhat, 0.0)
             u_weight = np.where(sampled, coeff * coeff / rhat, 0.0)
             want, want_weight = u, u_weight
-            initialized |= sampled
-            if stale_self:
-                stale = ~sampled & initialized & np.isfinite(last_rhat)
-                want = u + np.where(stale, coeff * z / last_rhat, 0.0)
-                want_weight = u_weight + np.where(stale, coeff * coeff / last_rhat, 0.0)
-                last_rhat = np.where(sampled, rhat, last_rhat)
             if policy.communicate:
-                want, want_weight = want + link @ u, want_weight + link @ u_weight
+                want, want_weight = u + link @ u, u_weight + link @ u_weight
         assert value.tobytes() == want.tobytes(), tidx
         assert weight.tobytes() == want_weight.tobytes(), tidx
     planned = cfg.sampling.planned_samples
