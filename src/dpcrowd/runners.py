@@ -235,12 +235,13 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     observations = np.empty((m, timestamps, d)) if private else obs_noise
     posterior_var_trace = np.empty((m, timestamps, d))
     sampled_trace = np.zeros((m, timestamps, d), dtype=bool)
-    # a flooding run broadcasts from every server every timestamp; a one-hop
-    # run's broadcasters are the servers that sampled, found after the loop
-    broadcast_trace = np.full((m, timestamps), policy.flood)
     packet_bytes = message_num_bytes(d) if policy.communicate else flood_payload_bytes(d)
 
     adj_needed = (policy.communicate or policy.flood) and m > 1
+    # a lone server has no one to send to; with neighbours a flooding run
+    # broadcasts from every server every timestamp, and a one-hop run's
+    # broadcasters are the servers that sampled, found after the loop
+    broadcast_trace = np.full((m, timestamps), adj_needed and policy.flood)
     # per-adjacency work runs once per adjacency array: once a run on a
     # static topology, once a timestamp on a dynamic one; each array leaves
     # its node degrees (one-hop) or its flood's LatencyPlan here
@@ -522,18 +523,17 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     # broadcasts where it sampled, to each neighbour; a flood sends its
     # plan's deliveries. A one-hop exchange is one round, so the run's
     # rounds make one plan for the latency maximum.
-    active = sampled_trace.any(axis=2) if policy.communicate else broadcast_trace
     plans, packets_by_t = [], [0] * timestamps
     if adj_needed and policy.communicate:
-        broadcast_trace = active
-        packets_by_t = (np.stack(traffic) * active.T).sum(axis=1).tolist()
+        broadcast_trace = sampled_trace.any(axis=2)
+        packets_by_t = (np.stack(traffic) * broadcast_trace.T).sum(axis=1).tolist()
         plans = [LatencyPlan.of([sum(packets_by_t)])]
     elif adj_needed:
         plans = traffic if dynamic else traffic * timestamps
         packets_by_t = [plan.starts[-1] for plan in plans]
     stats = CommStats.of(
         packets_by_t, packet_bytes, max_delivery_latency(plans, latency_rng, latency_center),
-        active.sum(axis=1),
+        broadcast_trace.sum(axis=1),
     )
 
     result = RunResult(

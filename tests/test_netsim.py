@@ -368,16 +368,16 @@ def _per_timestamp_stats(cfg, res):
     packets_by_t, broadcasts, best = [], np.zeros(m, dtype=np.int64), 0.0
     for tidx in range(cfg.timestamps):
         rounds = []
-        if policy.communicate:
+        # a lone server has no neighbour to send to, so it never broadcasts
+        active = np.zeros(m, dtype=bool)
+        if policy.communicate and m > 1:
             active = res.sampled[:, tidx].any(axis=1)
-            broadcasts += active
-            if m > 1:
-                assert np.array_equal(res.broadcast[:, tidx], active)
-                rounds = [int(degrees(topo.adjacency_at(tidx + 1))[active].sum())]
-        elif policy.flood:
-            broadcasts += 1
-            if m > 1:
-                rounds = flood_reachability(topo.adjacency_at(tidx + 1))[3]
+            rounds = [int(degrees(topo.adjacency_at(tidx + 1))[active].sum())]
+        elif policy.flood and m > 1:
+            active[:] = True
+            rounds = flood_reachability(topo.adjacency_at(tidx + 1))[3]
+        assert np.array_equal(res.broadcast[:, tidx], active)
+        broadcasts += active
         packets_by_t.append(sum(rounds))
         best = max(best, _per_round_latency(rounds, latency_rng, cfg.net.latency_ms_center))
     size = message_num_bytes(d) if policy.communicate else flood_payload_bytes(d)
