@@ -24,7 +24,6 @@ __all__ = [
     "format_float",
     "summary_record",
     "write_summary_csv",
-    "write_trace_csv",
     "json_payload",
     "write_json",
     "write_report",
@@ -64,15 +63,10 @@ def _cell(value) -> str:
     return str(value)
 
 
-def summary_record(result: RunResult, metrics: MetricsSummary | None = None) -> dict:
-    """Flatten one finished run into the fixed summary schema.
-
-    metrics is the run's summarize(), computed here when not given.
-    """
+def summary_record(result: RunResult, metrics: MetricsSummary) -> dict:
+    """Flatten one finished run, with its summarize() metrics, into the fixed summary schema."""
     cfg = result.config
     stats = result.stats
-    if metrics is None:
-        metrics = summarize(result.releases, result.truth)
     return {
         "schema_version": SCHEMA_VERSION,
         "algorithm": cfg.algorithm,
@@ -98,10 +92,8 @@ def write_summary_csv(records: Iterable[dict], path) -> None:
             writer.writerow([_cell(rec[col]) for col in SUMMARY_COLUMNS])
 
 
-def trace_rows(result: RunResult, metrics: MetricsSummary | None = None) -> list[tuple]:
+def trace_rows(result: RunResult, metrics: MetricsSummary) -> list[tuple]:
     """(seed, t, are, ace, packets) per timestamp; metrics as in summary_record."""
-    if metrics is None:
-        metrics = summarize(result.releases, result.truth)
     timestamps = len(metrics.are_trace)
     return list(zip(
         [result.config.seed] * timestamps, range(1, timestamps + 1),
@@ -113,27 +105,10 @@ def trace_rows(result: RunResult, metrics: MetricsSummary | None = None) -> list
 _TRACE_LINE = "%d,%d,%.17g,%.17g,%d\n"
 
 
-def _write_trace(runs, path) -> None:
-    """Trace CSV of (result, metrics) pairs."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for result, metrics in runs:
-            fh.writelines(_TRACE_LINE % row for row in trace_rows(result, metrics))
-
-
-def write_trace_csv(results: Iterable[RunResult], path) -> None:
-    """Long-format per-timestamp trace, one block of rows per run."""
-    _write_trace(((r, summarize(r.releases, r.truth)) for r in results), path)
-
-
-def json_payload(results: Iterable[RunResult], records: list[dict] | None = None) -> dict:
-    """Nested report: summary fields plus a full config echo per run.
-
-    records are the runs' summary records, made here when not given.
-    """
-    results = list(results)
+def json_payload(results: Iterable[RunResult], records: list[dict]) -> dict:
+    """Nested report: the runs' summary records plus a full config echo per run."""
     reports = []
-    for result, rec in zip(results, records or map(summary_record, results)):
+    for result, rec in zip(results, records):
         reports.append(
             {
                 "algorithm": rec["algorithm"],
@@ -155,7 +130,7 @@ def json_payload(results: Iterable[RunResult], records: list[dict] | None = None
     return {"schema_version": SCHEMA_VERSION, "reports": reports}
 
 
-def write_json(results: Iterable[RunResult], path, records: list[dict] | None = None) -> None:
+def write_json(results: Iterable[RunResult], path, records: list[dict]) -> None:
     payload = json_payload(results, records)
     with open(path, "w", newline="") as fh:
         json.dump(payload, fh, indent=2)
@@ -177,5 +152,9 @@ def write_report(results, fmt: str, path, trace_path=None) -> list[dict]:
     else:
         write_json(results, path, records)
     if trace_path is not None:
-        _write_trace(zip(results, metrics), trace_path)
+        # long format, one block of rows per run
+        with open(trace_path, "w", newline="") as fh:
+            fh.write(",".join(TRACE_COLUMNS) + "\n")
+            for result, summary in zip(results, metrics):
+                fh.writelines(_TRACE_LINE % row for row in trace_rows(result, summary))
     return records

@@ -19,8 +19,8 @@ from dpcrowd.report import (
     trace_rows,
     write_report,
     write_summary_csv,
-    write_trace_csv,
 )
+from dpcrowd.metrics import summarize
 from dpcrowd.runners import run_experiment
 
 
@@ -38,13 +38,17 @@ def _small_cfg(**kw):
     return ExperimentConfig(**base)
 
 
+def _record(result):
+    return summary_record(result, summarize(result.releases, result.truth))
+
+
 def test_format_float_round_trips():
     for x in (0.1, 1 / 3, 2.5e-17, 123456.789, 1e300):
         assert float(format_float(x)) == x
 
 
 def test_summary_record_schema():
-    rec = summary_record(run_experiment(_small_cfg()))
+    rec = _record(run_experiment(_small_cfg()))
     assert set(rec) == set(SUMMARY_COLUMNS)
     assert rec["algorithm"] == "dpcrowd"
     assert rec["are"] >= 0 and rec["ace"] >= 0
@@ -52,8 +56,7 @@ def test_summary_record_schema():
 
 
 def test_csv_round_trip(tmp_path):
-    result = run_experiment(_small_cfg())
-    rec = summary_record(result)
+    rec = _record(run_experiment(_small_cfg()))
     path = tmp_path / "r.csv"
     write_summary_csv([rec], path)
     with open(path, newline="") as fh:
@@ -76,7 +79,7 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "r.json"
     write_report([result], "json", path)
     payload = json.loads(path.read_text())
-    rec = summary_record(result)
+    rec = _record(result)
     assert payload["schema_version"] == 1
     assert payload["reports"][0]["metrics"]["are"] == rec["are"]
     assert payload["reports"][0]["config"]["seed"] == "11"
@@ -84,18 +87,18 @@ def test_json_round_trip(tmp_path):
 
 def test_json_payload_echoes_config():
     result = run_experiment(_small_cfg())
-    echo = json_payload([result])["reports"][0]["config"]
+    echo = json_payload([result], [_record(result)])["reports"][0]["config"]
     assert echo["algorithm"] == "dpcrowd"
     assert echo["net.m"] == "4"
 
 
 def test_trace_rows_cover_every_timestamp(tmp_path):
     result = run_experiment(_small_cfg(timestamps=25))
-    rows = trace_rows(result)
+    rows = trace_rows(result, summarize(result.releases, result.truth))
     assert len(rows) == 25
     assert [r[1] for r in rows] == list(range(1, 26))
     path = tmp_path / "t.csv"
-    write_trace_csv([result], path)
+    write_report([result], "csv", tmp_path / "r.csv", trace_path=path)
     with open(path, newline="") as fh:
         parsed = list(csv.DictReader(fh))
     assert len(parsed) == 25
@@ -115,7 +118,7 @@ def test_unknown_format_rejected(tmp_path):
 
 
 def test_dfast_report_has_zero_ace():
-    rec = summary_record(run_experiment(_small_cfg(algorithm="dfast")))
+    rec = _record(run_experiment(_small_cfg(algorithm="dfast")))
     assert rec["ace"] == 0.0
 
 
@@ -153,4 +156,4 @@ def test_write_report_summarizes_each_run_once(tmp_path, monkeypatch):
     monkeypatch.setattr(report, "summarize", counting)
     records = write_report(results, "csv", tmp_path / "r.csv", trace_path=tmp_path / "t.csv")
     assert len(calls) == 2
-    assert records == [summary_record(r) for r in results]
+    assert records == [_record(r) for r in results]
