@@ -1,12 +1,15 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpcrowd.cli import expand_runs
 from dpcrowd.config import (
+    _KEYS,
     ALGORITHMS,
     ConfigError,
     DataConfig,
@@ -16,8 +19,12 @@ from dpcrowd.config import (
     ModelConfig,
     NetConfig,
     SamplingConfig,
+    _get,
+    apply_override,
+    load_config,
 )
 from dpcrowd import RunDivergedError, runners
+from dpcrowd.metrics import summarize
 from dpcrowd.netsim import TopologySchedule, degrees, flood_reachability
 from dpcrowd.privacy import BudgetError
 from dpcrowd.runners import SamplingSchedule, run_experiment
@@ -320,6 +327,38 @@ def test_clamp_releases_option():
                data=DataConfig(initial=(5.0,)), kcif=KcifConfig(clamp_releases=True))
     res = run_experiment(cfg)
     assert (res.releases >= 0).all()
+
+
+QUICKSTART = Path(__file__).resolve().parents[1] / "configs" / "quickstart.cfg"
+
+# Each boolean key flipped from its default, and fixed sampling. On the
+# quickstart runs the largest ARE ratio of a flip that runs is 1.05; the
+# re-fused stale release of kcif.fuse_stale_self made it 7.5e10 or more on
+# every private algorithm.
+_FLIPS = [(key, str(not _get(ExperimentConfig(), key)).lower())
+          for key, (_, _, kind) in _KEYS.items() if kind is bool] + [("sampling.mode", "fixed")]
+ARE_FACTOR = 2.0
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_no_flipped_option_multiplies_the_error(algorithm):
+    # a flipped option is refused, or its runs (seeds 1-3, full scale) keep
+    # their ARE within ARE_FACTOR of the same runs with it unflipped
+    base = apply_override(apply_override(load_config(QUICKSTART, False), "w", "20"),
+                          "algorithm", algorithm)
+
+    def ares(cfg):
+        return [summarize(r.releases, r.truth).are for r in map(run_experiment, expand_runs(cfg))]
+
+    want = ares(base)
+    assert len(want) == 3
+    for key, value in _FLIPS:
+        try:
+            got = ares(apply_override(base, key, value))
+        except ConfigError:
+            continue
+        ratios = [g / w for g, w in zip(got, want)]
+        assert max(ratios) <= ARE_FACTOR, (key, ratios)
 
 
 def test_fuse_stale_self_is_refused():
