@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dpcrowd.cli import expand_runs
 from dpcrowd.config import (
     _KEYS,
+    _get,
     ALGORITHMS,
     ConfigError,
     DataConfig,
@@ -19,7 +20,6 @@ from dpcrowd.config import (
     ModelConfig,
     NetConfig,
     SamplingConfig,
-    _get,
     apply_override,
     load_config,
 )
