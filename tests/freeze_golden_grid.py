@@ -65,6 +65,8 @@ VARIANTS = {
     "stale_self": {"kcif.fuse_stale_self": "true"},
     "repartition": {"model.freeze_partition": "false"},
     "m12_rho0.9": {"net.m": "12", "net.rho": "0.9"},
+    # a low start, so that clamping zeroes some releases and keeps others
+    "clamp": {"kcif.clamp_releases": "true", "data.initial": "50"},
 }
 
 CONFIGS = sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))
