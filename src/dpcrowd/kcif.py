@@ -5,7 +5,9 @@ the d-dimensional filter decomposes into d independent scalar filters, so
 every operation here works element-wise on arrays of any matching shape
 (per-server vectors or stacked (m, d) blocks alike). The engine sums the
 neighbours' information contributions u = H z / R_hat and U = H^2 / R_hat
-over the adjacency and passes the totals to update_from_delta.
+over the adjacency and passes the totals to update_from_delta. A flooding
+run releases each server's flood_average instead, and a stretch of
+timestamps that takes no evidence is one coast.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "coast",
     "combined_variance",
     "effective_variance",
+    "flood_average",
     "prediction_gain",
     "predict",
     "initialize",
@@ -109,3 +113,73 @@ def update_from_delta(prior, prior_var, fused_value, fused_weight, prior_delta, 
         return posterior + consensus_step * prior_var * 0.0, posterior_var
     gain = consensus_step * prior_var / (np.abs(prior_var) + 1.0)
     return posterior + gain * prior_delta, posterior_var
+
+
+def flood_average(known):
+    """The releases of a blind flood that left each server the payloads known marks.
+
+    Returns a function from a C-contiguous (k, m, d) stack of posteriors,
+    one (m, d) block per timestamp, to the stack of releases, (k, 1, d) when
+    every server holds every payload. Servers holding the same payload set
+    must release bitwise identical averages, so each distinct set is summed
+    once in index order instead of letting a blocked matmul pick the order.
+    Summed over axis 1, the stack and each (k, g, d) take add every
+    timestamp's rows as that timestamp's (g, d) block alone would, so a
+    release does not depend on how many timestamps come at once.
+    """
+    uniq, inverse = np.unique(known, axis=0, return_inverse=True)
+    counts = uniq.sum(axis=1).astype(float)[:, None]
+    if len(uniq) == 1:  # every server holds every payload
+        return lambda stack: np.add.reduce(stack, axis=1, keepdims=True) / counts
+    groups = [np.flatnonzero(row) for row in uniq]
+
+    def average(stack):
+        sums = [np.add.reduce(stack.take(group, axis=1), axis=1) for group in groups]
+        return (np.stack(sums, axis=1) / counts)[:, inverse]
+
+    return average
+
+
+def coast(posterior, posterior_var, transition_t, gain, process_var, consensus_step, steps):
+    """steps time updates that take no evidence; returns their stacked
+    (posteriors, posterior variances), each (steps, *posterior.shape), or
+    None where the shortcut below needs a value it does not have.
+
+    Each step is bitwise a round of predict and then update_from_delta with
+    fused_value = fused_weight = +0.0 (a neighbour's link @ zeros adds only
+    +0.0 products), which computes 1 / (1/prior_var + 0.0) and
+    prior + pv * (0.0 - 0.0 * prior) + (consensus_step * prior_var) * 0.0.
+    Here the posterior is prior + 0.0 and the variance 1 / (1 / prior_var):
+    - 1/prior_var + 0.0 is 1/prior_var unless that is -0.0, which needs
+      prior_var = -inf;
+    - for a finite prior, 0.0 * prior is a zero, and 0.0 minus a zero is
+      +0.0; times a finite positive pv that stays +0.0;
+    - for a finite consensus_step * prior_var, its product with 0.0 is a
+      zero. So is the consensus term of a server with neighbours, gain *
+      prior_delta: its gain divides that product by |prior_var| + 1 >= 1,
+      and with no neighbour broadcasting, prior_delta is link @ (0.0 * prior)
+      minus 0.0 * prior, a zero;
+    - prior + 0.0 is never -0.0, and adding a zero of either sign to it
+      leaves it as it is.
+    So the result is None unless every posterior is finite, every variance
+    finite and positive, and every consensus_step * prior_var finite, for a
+    consensus_step >= 0 (as ExperimentConfig.validate requires). Where
+    numpy would warn in a round, one of these fails, so a caller that falls
+    back to the rounds themselves keeps their warnings.
+    """
+    stacks = np.empty((3, steps, *np.shape(posterior)))
+    posteriors, prior_vars, variances = stacks
+    with np.errstate(all="ignore"):
+        for posterior_out, prior_var, posterior_var_out in zip(posteriors, prior_vars, variances):
+            np.add(posterior @ transition_t, 0.0, out=posterior_out)
+            np.multiply(gain, posterior_var, out=prior_var)
+            prior_var += process_var
+            np.divide(1.0, prior_var, out=posterior_var_out)
+            np.divide(1.0, posterior_var_out, out=posterior_var_out)
+            posterior, posterior_var = posterior_out, posterior_var_out
+        # with every value finite, consensus_step >= 0 scales the largest
+        # prior_var to the largest product
+        if not (np.isfinite(stacks).all() and variances.min() > 0.0
+                and consensus_step * prior_vars.max() < np.inf):
+            return None
+    return posteriors, variances

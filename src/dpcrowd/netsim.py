@@ -141,8 +141,8 @@ class LatencyPlan:
                    tuple(sorted(range(len(counts)), key=counts.__getitem__)))
 
 
-# uniforms drawn per call, so that a long round holds at most 512 KiB at once
-_DRAW_CHUNK = 1 << 16
+# uniforms drawn per call, so that a draw buffer holds at most 64 KiB
+_DRAW_CHUNK = 1 << 13
 
 
 def _largest_uniform(rng: np.random.Generator, n: int) -> float:
@@ -151,6 +151,19 @@ def _largest_uniform(rng: np.random.Generator, n: int) -> float:
         return float(rng.random(n).max())
     return max(float(rng.random(min(_DRAW_CHUNK, n - i)).max())
                for i in range(0, n, _DRAW_CHUNK))
+
+
+def _runs(sizes, limit: int):
+    """(start, stop) of consecutive runs of sizes that sum to at most limit;
+    a size above limit makes a run of its own."""
+    start = total = 0
+    for stop, size in enumerate(sizes):
+        if total + size > limit and stop > start:
+            yield start, stop
+            start, total = stop, 0
+        total += size
+    if start < len(sizes):
+        yield start, len(sizes)
 
 
 def max_delivery_latency(
@@ -166,15 +179,19 @@ def max_delivery_latency(
     timestamps in a row (a one-hop exchange) may be passed as one plan of
     their summed deliveries: their largest latency is that of their largest u.
 
-    Only a latency above the running maximum changes the result, so rounds
-    are drawn smallest first, each from its own stream positions, and after
-    each one the timestamp's latency is bounded, in round order, with every
-    undrawn round's u set to 1.0. IEEE rounding is monotone and every u is
-    below 1.0, so the bound is at least the exact sum; once it is <= the
-    maximum, no undrawn round can lift it, and the timestamp is done. So
-    the result equals the maximum over exact latencies. The state is read
-    once, and rng is left past every draw of every timestamp, as if each
-    had been taken, with any buffered 32-bit half kept.
+    Only a latency above the running maximum changes the result. So the
+    smallest round of every timestamp is drawn first, in bulk: each from its
+    own stream positions, into one buffer of at most _DRAW_CHUNK doubles per
+    run of timestamps (a longer round is drawn alone, in chunks). Each
+    timestamp's latency is then bounded, in round order, with every undrawn
+    round's u set to 1.0. IEEE rounding is monotone and every u is below
+    1.0, so the bound is at least the exact sum. The timestamps are walked
+    in order, and where the bound still beats the running maximum, further
+    rounds are drawn smallest first, bounding again after each; once the
+    bound is <= the maximum, no undrawn round can lift it. So the result
+    equals the maximum over exact latencies. The state is read once, and rng
+    is left past every draw of every timestamp, as if each had been taken,
+    with any buffered 32-bit half kept.
 
     rng must wrap PCG64, as default_rng's do: random() takes one 64-bit
     output per double, so PCG64.advance(n) skips exactly n doubles, and a
@@ -185,19 +202,54 @@ def max_delivery_latency(
     top = low + span  # a round's term until it is drawn
     bit_gen = rng.bit_generator
     saved = bit_gen.state
-    first = at = 0  # the timestamp's first stream position, and the generator's
-    for plan in plans:
-        counts, starts = plan.counts, plan.starts
-        terms = [top] * len(counts)
-        for r in plan.order:
-            if sum(terms) <= best:
-                break
-            bit_gen.advance(first + starts[r] - at)
-            terms[r] = low + span * _largest_uniform(rng, counts[r])
-            at = first + starts[r + 1]
-        best = max(best, sum(terms, 0.0))
-        first += starts[-1]
-    bit_gen.advance(first - at)
+    firsts = list(itertools.accumulate((plan.starts[-1] for plan in plans), initial=0))
+    busy = [j for j, plan in enumerate(plans) if plan.counts]
+    if len(busy) < len(plans):  # a timestamp without deliveries takes 0.0
+        best = max(best, 0.0)
+    smallest = [plans[j].order[0] for j in busy]
+    sizes = [plans[j].counts[r] for j, r in zip(busy, smallest)]
+    # tops[k]: k undrawn rounds summed from 0.0, as a bound sums them
+    tops = list(itertools.accumulate([top] * max((len(plans[j].counts) for j in busy),
+                                                 default=0), initial=0.0))
+    at = 0  # the generator's stream position
+    for start, stop in _runs(sizes, _DRAW_CHUNK):
+        stamps, rounds = busy[start:stop], smallest[start:stop]
+        offsets = list(itertools.accumulate(sizes[start:stop], initial=0))
+        if offsets[-1] > _DRAW_CHUNK:  # one long round
+            (j,), (r,) = stamps, rounds
+            bit_gen.advance(firsts[j] + plans[j].starts[r] - at)
+            largest = np.array([_largest_uniform(rng, offsets[-1])])
+            at = firsts[j] + plans[j].starts[r + 1]
+        else:
+            draws = np.empty(offsets[-1])
+            for j, r, lo, hi in zip(stamps, rounds, offsets, offsets[1:]):
+                bit_gen.advance(firsts[j] + plans[j].starts[r] - at)
+                rng.random(out=draws[lo:hi])
+                at = firsts[j] + plans[j].starts[r + 1]
+            largest = np.maximum.reduceat(draws, offsets[:-1])
+        terms = low + span * largest
+        bound = np.array([tops[r] for r in rounds]) + terms
+        after = np.array([len(plans[j].counts) - r - 1 for j, r in zip(stamps, rounds)])
+        for k in range(after.max()):
+            bound = np.where(after > k, bound + top, bound)
+        terms, bound = terms.tolist(), bound.tolist()
+        # best only grows along the walk, so the timestamps that cannot beat
+        # it now never will
+        for i in np.flatnonzero(np.array(bound) > best).tolist():
+            if bound[i] <= best:
+                continue
+            plan, first = plans[stamps[i]], firsts[stamps[i]]
+            counts, starts = plan.counts, plan.starts
+            step_terms = [top] * len(counts)
+            step_terms[rounds[i]] = terms[i]
+            for r in plan.order[1:]:
+                if sum(step_terms) <= best:
+                    break
+                bit_gen.advance(first + starts[r] - at)
+                step_terms[r] = low + span * _largest_uniform(rng, counts[r])
+                at = first + starts[r + 1]
+            best = max(best, sum(step_terms, 0.0))
+    bit_gen.advance(firsts[-1] - at)
     if saved["has_uint32"]:
         # advance drops the buffered 32-bit half that random() leaves alone
         bit_gen.state = {**bit_gen.state, "has_uint32": 1, "uinteger": saved["uinteger"]}

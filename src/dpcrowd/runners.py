@@ -247,12 +247,14 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     # its node degrees (one-hop) or its flood's LatencyPlan here
     dynamic = cfg.net.dynamic
     traffic = []
-    if private:
-        # a timestamp with nothing due reads these and writes none of them
-        none_sampled = np.zeros((m, d), dtype=bool)
-        no_terms = np.zeros((m, d))
+    # A private run coasts from a timestamp with nothing due to the next
+    # calendar key, block start or run end in one kcif.coast; a stretch whose
+    # coast is not finite takes the per-timestamp body up to step_until.
+    coasted_until = step_until = 0
 
     for tidx in range(timestamps):
+        if tidx < coasted_until:
+            continue
         t = tidx + 1
         if tidx % block_len == 0:
             # Block start: fresh filters and, in private runs, fresh schedules
@@ -306,23 +308,16 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
             if policy.communicate:
                 _check_consensus_stability(adj, beta)
                 link = adj.astype(float)
-                degree = degrees(adj)
-                traffic.append(degree)
+                traffic.append(degrees(adj))
             else:
                 known, _, _, flood_rounds = flood_reachability(adj)
                 traffic.append(LatencyPlan.of(flood_rounds))
-                # servers holding the same payload set must release bitwise
-                # identical averages, so sum each distinct set once in index
-                # order instead of letting a blocked matmul pick the order
-                uniq, inverse = np.unique(known, axis=0, return_inverse=True)
-                groups = [np.flatnonzero(row) for row in uniq]
-                group_counts = uniq.sum(axis=1).astype(float)[:, None]
-                sums = np.empty((len(groups), d))
+                average = kcif.flood_average(known)
         if not frozen:
             coeff_col, coeff_sq_col = coeffs[tidx], coeff_sqs[tidx]
         # Raw aggregates: consumed by the perturbation/selection block below
         # and by nothing else in private modes.
-        x_raw = obs_noise[:, tidx, :]
+        x_raw = obs_noise[:, tidx]
 
         # A private timestamp starts from R_hat at eps = inf and zero u and
         # weight, and writes each granted pair's values in Python floats;
@@ -331,14 +326,34 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
         if not private:
             z = x_raw
         else:
+            due_pairs = calendar.pop(t, ())
+            if not due_pairs and tidx >= step_until:
+                # A block's first timestamp is due, so tidx > block_start. A
+                # dynamic topology's own adjacency at each timestamp costs more
+                # than the filter step, and stays per timestamp: its stretches
+                # are one timestamp long.
+                end = t if adj_needed and dynamic else min(
+                    block_start + block_rows, min(calendar, default=timestamps + 1) - 1)
+                coasted = kcif.coast(posterior, posterior_var, transition_t, gain, q_diag,
+                                     beta, end - tidx)
+                if coasted is None:
+                    step_until = end
+                else:
+                    posteriors, variances = coasted
+                    stretch = average(posteriors) if policy.flood and m > 1 else posteriors
+                    if clamp:
+                        stretch = np.maximum(stretch, 0.0)
+                    releases[:, tidx:end] = stretch.swapaxes(0, 1)
+                    observations[:, tidx:end] = releases[:, tidx - 1:end - 1]
+                    posterior_var_trace[:, tidx:end] = variances.swapaxes(0, 1)
+                    posterior, posterior_var = posteriors[-1], variances[-1]
+                    coasted_until = end
+                    continue
             # An unsampled dimension repeats the server's previous release.
-            z = observations[:, tidx, :]
-            z[...] = releases[:, tidx - 1, :] if tidx else 0.0
-            due_pairs = calendar.pop(t, None)
+            z = observations[:, tidx]
+            z[...] = releases[:, tidx - 1] if tidx else 0.0
             granted_by_server: dict[int, list[int]] = {}
-        if private and due_pairs is None:  # nothing due, so nothing to set up
-            sampled, u, weight, rhat = none_sampled, no_terms, no_terms, rhat_plain[tidx]
-        elif private:
+        if private:
             grants = np.zeros((m, d))
             # the unsampled pairs' R_hat is read only by the initializer; all
             # else reads the granted pairs' u and weight
@@ -479,20 +494,12 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
 
         release_t = posterior
         if policy.flood and m > 1:
-            # one average per group; np.add.reduce is np.sum without its wrapper
-            if len(groups) == 1:  # every server holds every payload
-                np.add.reduce(posterior, axis=0, out=sums[0])
-                release_t = sums / group_counts
-            else:
-                for idx, total in zip(groups, sums):
-                    np.add.reduce(posterior[idx], axis=0, out=total)
-                release_t = (sums / group_counts)[inverse]
-
+            release_t = average(posterior[None])[0]
         if clamp:
             release_t = np.maximum(release_t, 0.0)
-        releases[:, tidx, :] = release_t
-        posterior_var_trace[:, tidx, :] = posterior_var
-        sampled_trace[:, tidx, :] = sampled
+        releases[:, tidx] = release_t
+        posterior_var_trace[:, tidx] = posterior_var
+        sampled_trace[:, tidx] = sampled
 
         if private:
             # granted pairs in (server, dimension) order, as np.nonzero(sampled)

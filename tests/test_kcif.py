@@ -523,12 +523,18 @@ def test_rhat_tables_match_per_timestamp_rhat(algorithm, freeze, budget, alpha, 
     rng = np.random.default_rng(seed)
     draws = [rng.permutation(SIZES) for _ in range(timestamps + 1)]
     calls = iter(draws)
-    fused = []
-    update = kcif.update_from_delta
+    fused = []  # per timestamp: (value, weight), or None where the run coasted
+    update, coast = kcif.update_from_delta, kcif.coast
 
     def recording(prior, prior_var, value, weight, delta, step):
         fused.append((value, weight))
         return update(prior, prior_var, value, weight, delta, step)
+
+    def coasting(*args):
+        coasted = coast(*args)
+        if coasted is not None:
+            fused.extend([None] * args[-1])
+        return coasted
 
     cfg = ExperimentConfig(
         algorithm=algorithm, seed=seed, timestamps=timestamps, users=int(SIZES.sum()),
@@ -538,7 +544,8 @@ def test_rhat_tables_match_per_timestamp_rhat(algorithm, freeze, budget, alpha, 
         kcif=KcifConfig(alpha=alpha, variance_floor=floor),
     )
     with mock.patch.object(runners, "partition_users", lambda n, m, rng: next(calls).copy()), \
-            mock.patch.object(kcif, "update_from_delta", recording), warnings.catch_warnings():
+            mock.patch.object(kcif, "update_from_delta", recording), \
+            mock.patch.object(kcif, "coast", coasting), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # R_hat overflows at eps 1e-160
         result = runners.run_experiment(cfg)
     assert len(fused) == timestamps
@@ -548,8 +555,12 @@ def test_rhat_tables_match_per_timestamp_rhat(algorithm, freeze, budget, alpha, 
     link = TopologySchedule(m=cfg.net.m, density=cfg.net.rho, seed=11).adjacency_at(1)
     link = link.astype(float)
     policy = runners._POLICIES[algorithm]
-    for tidx, (value, weight) in enumerate(fused):
+    for tidx, terms in enumerate(fused):
         coeff, sampled = coeffs[tidx], result.sampled[:, tidx]
+        if terms is None:  # a coasted timestamp fuses nothing
+            assert not sampled.any(), tidx
+            continue
+        value, weight = terms
         z = result.observations[:, tidx]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)

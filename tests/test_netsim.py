@@ -280,9 +280,9 @@ class _CountingRng:
         self.bit_generator = rng.bit_generator
         self.drawn = 0
 
-    def random(self, size):
-        self.drawn += size
-        return self._rng.random(size)
+    def random(self, size=None, out=None):
+        self.drawn += size if out is None else out.size
+        return self._rng.random(size, out=out)
 
 
 def test_static_flood_draws_few_latencies(monkeypatch):
