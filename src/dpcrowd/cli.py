@@ -1,8 +1,9 @@
 """Command-line entry point: run experiments, sweep parameters, generate data.
 
-Exit status is 0 on success and 2 on any diagnosed failure (bad config,
-unreadable data, exhausted budget, a diverged run, a numpy RuntimeWarning
-raised as an error), with the reason printed to stderr.
+Exit status is 0 on success and 2 on any diagnosed failure (bad config or
+option, unreadable data, exhausted budget, a diverged run, a run too large to
+allocate, a numpy RuntimeWarning raised as an error), with the reason printed
+to stderr.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.timestamps < 1:
+        raise ConfigError(f"--timestamps must be >= 1, got {args.timestamps}")
+    if args.kind == "multilinear" and args.dims < 1:
+        raise ConfigError(f"--dims must be >= 1, got {args.dims}")
     rng = np.random.default_rng(args.seed)
     if args.kind == "linear":
         prefix = gen_linear(rng, timestamps=args.timestamps)
@@ -127,6 +132,10 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a config too large to allocate; numpy's message names the array
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 2
     except RuntimeWarning as exc:
         # with warnings as errors (PYTHONWARNINGS=error) numpy's overflow or

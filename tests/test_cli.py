@@ -141,6 +141,21 @@ def test_gen_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["linear", "--timestamps", "0"], "--timestamps must be >= 1, got 0"),
+    (["linear", "--timestamps", "-3"], "--timestamps must be >= 1, got -3"),
+    (["multilinear", "--dims", "0"], "--dims must be >= 1, got 0"),
+    (["multilinear", "--dims", "-2"], "--dims must be >= 1, got -2"),
+], ids=["zero_timestamps", "negative_timestamps", "zero_dims", "negative_dims"])
+def test_gen_bad_size_is_diagnosed(tmp_path, capsys, argv, message):
+    # used to end in "ValueError: need at least one timestamp" or
+    # "ValueError: dimension must be >= 1"
+    out = tmp_path / "g.csv"
+    assert main(["gen", argv[0], "--out", str(out), *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_validate_accepts_good_config(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     assert main(["validate", str(cfg)]) == 0
@@ -403,6 +418,47 @@ def test_diverging_feedback_is_diagnosed(tmp_path, capsys, lines):
     err = _run_diagnosed(tmp_path, capsys, PROBE_CFG + lines)
     assert "run diverged: non-finite feedback error" in err
     assert "server" in err and "t=" in err and "dimension" in err
+
+
+def test_unallocatable_run_is_diagnosed(tmp_path, capsys):
+    # validate accepts the config, but its stream needs 800 PB, more than any
+    # address space holds, so the first allocation fails; this used to end in
+    # numpy's _ArrayMemoryError traceback
+    text = BASE_CFG.replace("timestamps = 25", "timestamps = 100000000000000000")
+    assert main(["validate", str(_write_cfg(tmp_path, text))]) == 0
+    capsys.readouterr()
+    err = _run_diagnosed(tmp_path, capsys, text)
+    assert err.startswith("error: MemoryError: Unable to allocate") and err.count("\n") == 1
+
+
+# Between the samples at t = 1 and 151 of a replayed stream the prediction
+# leaves the float range: the variance overflows and the posterior turns NaN
+# at t = 39, inside a stretch with nothing due.
+IDLE_DIVERGENCE_CFG = f"""
+seed = 3
+timestamps = 300
+users = 1000
+net.m = 4
+model.a = 1e4
+data.source = csv
+data.path = {LINEAR_DEMO}
+sampling.mode = fixed
+sampling.interval = 150
+"""
+
+
+@pytest.mark.parametrize("algorithm", ["dpcrowd", "dfast"])
+def test_divergence_inside_an_idle_stretch_is_diagnosed(tmp_path, capsys, algorithm):
+    text = IDLE_DIVERGENCE_CFG + f"algorithm = {algorithm}\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        err = _run_diagnosed(tmp_path, capsys, text)
+    assert err == ("error: run diverged: non-finite release nan at server 0, t=39, dimension 0"
+                   " (1048 non-finite values in all)\n")
+    with warnings.catch_warnings():  # as under PYTHONWARNINGS=error
+        warnings.simplefilter("error")
+        err = _run_diagnosed(tmp_path, capsys, text)
+    assert err == "error: RuntimeWarning: overflow encountered in multiply\n"
 
 
 def test_runtime_warning_raised_as_error_is_diagnosed(tmp_path, capsys):

@@ -220,6 +220,115 @@ def test_update_without_neighbours_is_update_with_zero_delta(cols, step):
     assert _same_bits(post_var, want_var)
 
 
+# ------------------------------------------------------------------ coasting
+
+# (moderate values, with edge values mixed in)
+_coast_values = (st.floats(-1e6, 1e6), st.sampled_from(
+    (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2e-308, 1.0, -3.5, 1e300, -1e300, 1.7e308)
+) | st.floats(-1e6, 1e6))
+_coast_variances = (st.floats(1e-3, 1e6), st.sampled_from(
+    (0.0, -0.0, 5e-324, 1e-310, 1.0, 1e6, 1e300, 1.7e308)
+) | st.floats(0.0, 1e6))
+_coast_transitions = (st.floats(-2.0, 2.0), st.sampled_from(
+    (0.0, 1.0, -1.0, 0.5, 1e-200, 1e150)
+) | st.floats(-2.0, 2.0))
+
+
+def _zero_evidence_rounds(posterior, posterior_var, transition, process_var, beta, steps,
+                          link):
+    """steps rounds of the engine's predict and update with nothing sampled."""
+    zeros = np.zeros(posterior.shape)
+    active = np.zeros(len(posterior), dtype=bool)
+    out = []
+    for _ in range(steps):
+        prior, prior_var = _predict(posterior, posterior_var, transition, process_var)
+        value, weight, delta = zeros, zeros, None
+        if link is not None:  # a one-hop server whose neighbours all stay silent
+            value, weight = zeros + link @ zeros, zeros + link @ zeros
+            delta = link @ (prior * active[:, None]) - (link @ active.astype(float))[:, None] * prior
+        posterior, posterior_var = update_from_delta(prior, prior_var, value, weight, delta, beta)
+        out.append((prior_var, posterior, posterior_var))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 3)),
+    steps=st.integers(1, 6),
+    beta=st.sampled_from((0.0, 0.01, 1.0, 1e300)) | st.floats(0.0, 1e308),
+    one_hop=st.booleans(),
+    data=st.data(),
+)
+@example(shape=(2, 1), steps=3, beta=0.01, one_hop=True,
+         data=[[[-0.0], [5e-324]], [[1.0], [1e-310]], [[1.0]], [1.0], [[0, 1], [1, 0]]])
+@example(shape=(1, 2), steps=4, beta=0.0, one_hop=False,
+         data=[[[1e300, -1.7e308]], [[1e300, 2.0]], [[1.0, 0.0], [0.0, 1.0]], [0.0, 5e-324],
+               [[0]]])
+@example(shape=(1, 1), steps=2, beta=1e300, one_hop=False,  # beta * prior_var overflows
+         data=[[[3.0]], [[1e10]], [[1.0]], [1.0], [[0]]])
+def test_coast_is_rounds_of_predict_and_zero_evidence_update(shape, steps, beta, one_hop,
+                                                             data):
+    # kcif.coast over k steps must give the bits of k engine rounds that fuse
+    # nothing, or refuse where a round leaves finite values
+    m, d = shape
+    if isinstance(data, list):  # an @example's arrays
+        posterior, posterior_var, transition, process_var, link = map(np.array, data)
+    else:
+        draw = data.draw
+        edges = draw(st.booleans())
+
+        def block(values, rows, cols):
+            return np.array(draw(st.lists(st.lists(values[edges], min_size=cols, max_size=cols),
+                                          min_size=rows, max_size=rows)))
+
+        posterior, posterior_var = block(_coast_values, m, d), block(_coast_variances, m, d)
+        transition, process_var = block(_coast_transitions, d, d), block(_coast_variances, 1, d)[0]
+        link = np.array(draw(st.lists(st.lists(st.sampled_from((0, 1)), min_size=m,
+                                               max_size=m), min_size=m, max_size=m)))
+    link = link.astype(float) if one_hop else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # coast itself never warns
+        coasted = kcif.coast(posterior, posterior_var, transition.T, prediction_gain(transition),
+                             process_var, beta, steps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rounds = _zero_evidence_rounds(posterior, posterior_var, transition, process_var, beta,
+                                       steps, link)
+    if coasted is None:
+        # refused only where a round leaves the values the shortcut needs
+        assert any(not np.isfinite(post).all() or not ((var > 0) & (var < np.inf)).all()
+                   or not np.isfinite(beta * prior_var).all()
+                   for prior_var, post, var in rounds)
+        return
+    posteriors, variances = coasted
+    assert posteriors.shape == variances.shape == (steps, m, d)
+    for step, (_, post, var) in enumerate(rounds):
+        assert posteriors[step].tobytes() == post.tobytes(), step
+        assert variances[step].tobytes() == var.tobytes(), step
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    known=st.integers(1, 40).flatmap(lambda m: st.lists(
+        st.lists(st.booleans(), min_size=m, max_size=m), min_size=m, max_size=m)),
+    d=st.integers(1, 3),
+    k=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_flood_average_of_a_stack_is_each_timestamps_average(known, d, k, seed):
+    # a stretch's releases must equal, bit for bit, the per-timestamp average
+    # that sums each payload set's rows in index order
+    known = np.array(known) | np.eye(len(known), dtype=bool)
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((k, len(known), d)) * 10.0 ** rng.integers(-8, 9, (k, len(known), d))
+    got = np.broadcast_to(kcif.flood_average(known)(stack), stack.shape)
+    uniq, inverse = np.unique(known, axis=0, return_inverse=True)
+    for step, posterior in enumerate(stack):
+        sums = np.stack([np.add.reduce(posterior[np.flatnonzero(row)], axis=0) for row in uniq])
+        want = (sums / uniq.sum(axis=1).astype(float)[:, None])[inverse]
+        assert got[step].tobytes() == want.tobytes(), step
+
+
 # ------------------------------------------------- textbook Kalman reduction
 
 def test_matches_textbook_kalman_50_steps():

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -194,6 +196,53 @@ def test_long_round_is_drawn_in_chunks():
     want = _per_round_latency([n], whole, 100.0)
     assert max_delivery_latency([LatencyPlan.of([n])], chunked, 100.0) == want
     assert chunked.random() == whole.random()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rounds=st.lists(st.lists(st.integers(0, 60), max_size=5), min_size=1, max_size=4),
+    picks=st.lists(st.integers(0, 3), max_size=40),
+    chunk=st.sampled_from((1, 2, 7, 64, netsim._DRAW_CHUNK)),
+    center=st.floats(1e-3, 1e4),
+    seed=st.integers(0, 2**32 - 1),
+    buffered=st.booleans(),
+    best=st.sampled_from((0.0, -math.inf, 100.0)),
+)
+# a static flood: its smallest rounds fill several buffers, some split across two
+@example(rounds=[[40, 9, 25]], picks=[0] * 30, chunk=64, center=100.0, seed=3, buffered=True,
+         best=0.0)
+# a round longer than a buffer, alone and between short ones
+@example(rounds=[[50, 60], [3], [0]], picks=[0, 1, 0, 2, 0], chunk=7, center=100.0, seed=3,
+         buffered=False, best=-math.inf)
+def test_bulk_maximum_matches_every_delivery(rounds, picks, chunk, center, seed, buffered, best):
+    # A static flood repeats one plan every timestamp, a dynamic one changes
+    # plans. At any buffer size, the maximum and the generator state (with a
+    # buffered 32-bit half) must be those of drawing every delivery.
+    plans = [LatencyPlan.of(r) for r in rounds]
+    plans = [plans[p % len(plans)] for p in picks]
+    every, bulk = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:
+        every.integers(2**32, dtype=np.uint32)
+        bulk.integers(2**32, dtype=np.uint32)
+    want = best
+    for plan in plans:
+        want = max(want, _per_round_latency(plan.counts, every, center))
+    with mock.patch.object(netsim, "_DRAW_CHUNK", chunk):
+        got = max_delivery_latency(plans, bulk, center, best)
+    assert got.hex() == want.hex()
+    assert bulk.bit_generator.state == every.bit_generator.state
+
+
+def test_bulk_draws_stay_within_bounded_buffers():
+    # 2,000 timestamps of a static flood draw 318,000 smallest-round doubles
+    # (2.5 MB at once), but a buffer holds at most _DRAW_CHUNK of them
+    plans = [LatencyPlan.of([728, 159, 10982])] * 2000
+    max_delivery_latency(plans[:2], np.random.default_rng(2), 100.0)  # numpy's first-call setup
+    tracemalloc.start()
+    max_delivery_latency(plans, np.random.default_rng(2), 100.0)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 8 * netsim._DRAW_CHUNK + 400_000
 
 
 _BEATS = ("-inf", "zero", "exact", "below", "above", "ceiling")

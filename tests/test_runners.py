@@ -21,9 +21,10 @@ from dpcrowd.config import (
     NetConfig,
     SamplingConfig,
     apply_override,
+    config_from_mapping,
     load_config,
 )
-from dpcrowd import RunDivergedError, runners
+from dpcrowd import RunDivergedError, kcif, runners
 from dpcrowd.metrics import summarize
 from dpcrowd.netsim import TopologySchedule, degrees, flood_reachability
 from dpcrowd.privacy import BudgetError
@@ -425,6 +426,70 @@ def test_non_finite_release_is_a_diverged_run():
     )
     with np.errstate(all="ignore"), pytest.raises(RunDivergedError, match="non-finite"):
         run_experiment(cfg)
+
+
+# the prediction outgrows the float range between two samples of a replayed
+# stream: at t=39 the variance overflows and the posterior turns NaN
+IDLE_DIVERGENCE = {
+    "seed": "3", "timestamps": "300", "users": "1000", "net.m": "4", "model.a": "1e4",
+    "data.source": "csv",
+    "data.path": str(Path(__file__).resolve().parents[1] / "data" / "linear_demo.csv"),
+    "sampling.mode": "fixed", "sampling.interval": "150",
+}
+IDLE_DIVERGENCE_MESSAGE = ("run diverged: non-finite release nan at server 0, t=39, dimension 0"
+                           " (1048 non-finite values in all)")
+
+
+@pytest.mark.parametrize("algorithm", ["dpcrowd", "fast", "dfast"])
+def test_divergence_inside_an_idle_stretch_keeps_its_diagnosis(algorithm, monkeypatch):
+    verified = []
+    verify = runners.RunResult.verify
+
+    def recording(self):
+        verified.append(self)
+        verify(self)
+
+    monkeypatch.setattr(runners.RunResult, "verify", recording)
+    cfg = config_from_mapping({**IDLE_DIVERGENCE, "algorithm": algorithm})
+    with np.errstate(all="ignore"), pytest.raises(RunDivergedError) as raised:
+        run_experiment(cfg)
+    assert str(raised.value) == IDLE_DIVERGENCE_MESSAGE
+    (result,) = verified
+    first = np.argwhere(~np.isfinite(result.releases))[0][1]
+    sampled_at = np.flatnonzero(result.sampled.any(axis=(0, 2)))
+    assert first == 38 and sampled_at.tolist() == [0, 150]  # nothing due at t=39
+
+
+def test_dfast_predicts_only_at_timestamps_with_a_due_pair(monkeypatch):
+    # a timestamp with nothing due coasts: kcif.predict runs once at each
+    # timestamp where a schedule is asked, and kcif.coast steps the rest
+    asked, predicted, coasted = [], [], []
+    is_sampling_point, predict, coast = SamplingSchedule.is_sampling_point, kcif.predict, \
+        kcif.coast
+
+    def asking(self, t):
+        asked.append(t)
+        return is_sampling_point(self, t)
+
+    def predicting(*args):
+        predicted.append(asked[-1])
+        return predict(*args)
+
+    def coasting(*args):
+        coasted.append(args[-1])
+        return coast(*args)
+
+    monkeypatch.setattr(SamplingSchedule, "is_sampling_point", asking)
+    monkeypatch.setattr(kcif, "predict", predicting)
+    monkeypatch.setattr(kcif, "coast", coasting)
+    cfg = apply_override(load_config(Path(__file__).resolve().parents[1] / "configs"
+                                     / "linear_dpcrowd.cfg"), "algorithm", "dfast")
+    assert cfg.net.m == 50
+    run_experiment(cfg)
+    due = sorted(set(asked))
+    assert predicted == due
+    assert sum(coasted) == cfg.timestamps - len(due)
+    assert len(due) < cfg.timestamps / 4
 
 
 @settings(max_examples=300, deadline=None)
