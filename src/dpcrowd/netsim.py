@@ -232,10 +232,11 @@ def max_delivery_latency(
         after = np.array([len(plans[j].counts) - r - 1 for j, r in zip(stamps, rounds)])
         for k in range(after.max()):
             bound = np.where(after > k, bound + top, bound)
-        terms, bound = terms.tolist(), bound.tolist()
         # best only grows along the walk, so the timestamps that cannot beat
         # it now never will
-        for i in np.flatnonzero(np.array(bound) > best).tolist():
+        beaten = np.flatnonzero(bound > best).tolist()
+        terms, bound = terms.tolist(), bound.tolist()
+        for i in beaten:
             if bound[i] <= best:
                 continue
             plan, first = plans[stamps[i]], firsts[stamps[i]]
