@@ -153,19 +153,6 @@ def _largest_uniform(rng: np.random.Generator, n: int) -> float:
                for i in range(0, n, _DRAW_CHUNK))
 
 
-def _runs(sizes, limit: int):
-    """(start, stop) of consecutive runs of sizes that sum to at most limit;
-    a size above limit makes a run of its own."""
-    start = total = 0
-    for stop, size in enumerate(sizes):
-        if total + size > limit and stop > start:
-            yield start, stop
-            start, total = stop, 0
-        total += size
-    if start < len(sizes):
-        yield start, len(sizes)
-
-
 def max_delivery_latency(
     plans, rng: np.random.Generator, center: float, best: float = 0.0
 ) -> float:
@@ -180,18 +167,19 @@ def max_delivery_latency(
     their summed deliveries: their largest latency is that of their largest u.
 
     Only a latency above the running maximum changes the result. So the
-    smallest round of every timestamp is drawn first, in bulk: each from its
-    own stream positions, into one buffer of at most _DRAW_CHUNK doubles per
-    run of timestamps (a longer round is drawn alone, in chunks). Each
-    timestamp's latency is then bounded, in round order, with every undrawn
-    round's u set to 1.0. IEEE rounding is monotone and every u is below
-    1.0, so the bound is at least the exact sum. The timestamps are walked
-    in order, and where the bound still beats the running maximum, further
-    rounds are drawn smallest first, bounding again after each; once the
-    bound is <= the maximum, no undrawn round can lift it. So the result
-    equals the maximum over exact latencies. The state is read once, and rng
-    is left past every draw of every timestamp, as if each had been taken,
-    with any buffered 32-bit half kept.
+    timestamps are taken a buffer at a time: the smallest round of each is
+    drawn in bulk, each from its own stream positions, into one buffer of
+    _DRAW_CHUNK doubles, as many timestamps as fit (a longer round is drawn
+    alone, in chunks, and leaves its largest draw). Each timestamp's
+    latency is then bounded, in round order, with every undrawn round's u
+    set to 1.0. IEEE rounding is monotone and every u is below 1.0, so the
+    bound is at least the exact sum. The timestamps are walked in order,
+    and where the bound still beats the running maximum, further rounds are
+    drawn smallest first, bounding again after each; once the bound is <=
+    the maximum, no undrawn round can lift it. So the result equals the
+    maximum over exact latencies. The state is read once, and rng is left
+    past every draw of every timestamp, as if each had been taken, with any
+    buffered 32-bit half kept.
 
     rng must wrap PCG64, as default_rng's do: random() takes one 64-bit
     output per double, so PCG64.advance(n) skips exactly n doubles, and a
@@ -202,55 +190,54 @@ def max_delivery_latency(
     top = low + span  # a round's term until it is drawn
     bit_gen = rng.bit_generator
     saved = bit_gen.state
-    firsts = list(itertools.accumulate((plan.starts[-1] for plan in plans), initial=0))
-    busy = [j for j, plan in enumerate(plans) if plan.counts]
-    if len(busy) < len(plans):  # a timestamp without deliveries takes 0.0
-        best = max(best, 0.0)
-    smallest = [plans[j].order[0] for j in busy]
-    sizes = [plans[j].counts[r] for j, r in zip(busy, smallest)]
-    # tops[k]: k undrawn rounds summed from 0.0, as a bound sums them
-    tops = list(itertools.accumulate([top] * max((len(plans[j].counts) for j in busy),
-                                                 default=0), initial=0.0))
-    at = 0  # the generator's stream position
-    for start, stop in _runs(sizes, _DRAW_CHUNK):
-        stamps, rounds = busy[start:stop], smallest[start:stop]
-        offsets = list(itertools.accumulate(sizes[start:stop], initial=0))
-        if offsets[-1] > _DRAW_CHUNK:  # one long round
-            (j,), (r,) = stamps, rounds
-            bit_gen.advance(firsts[j] + plans[j].starts[r] - at)
-            largest = np.array([_largest_uniform(rng, offsets[-1])])
-            at = firsts[j] + plans[j].starts[r + 1]
-        else:
-            draws = np.empty(offsets[-1])
-            for j, r, lo, hi in zip(stamps, rounds, offsets, offsets[1:]):
-                bit_gen.advance(firsts[j] + plans[j].starts[r] - at)
-                rng.random(out=draws[lo:hi])
-                at = firsts[j] + plans[j].starts[r + 1]
-            largest = np.maximum.reduceat(draws, offsets[:-1])
-        terms = low + span * largest
-        bound = np.array([tops[r] for r in rounds]) + terms
-        after = np.array([len(plans[j].counts) - r - 1 for j, r in zip(stamps, rounds)])
+    draws = np.empty(_DRAW_CHUNK)
+    tops = [0.0]  # tops[k]: k undrawn rounds summed from 0.0, as a bound sums them
+    at = first = j = 0  # the generator's stream position, timestamp j's first one
+    while j < len(plans):
+        # (first stream position, plan) of the timestamps drawn into draws
+        run, offsets, before, after = [], [0], [], []
+        for plan in itertools.islice(plans, j, None):
+            if not plan.counts:  # a timestamp without deliveries takes 0.0
+                best = max(best, 0.0)
+            else:
+                r = plan.order[0]
+                n = plan.counts[r]
+                if run and offsets[-1] + n > _DRAW_CHUNK:
+                    break
+                bit_gen.advance(first + plan.starts[r] - at)
+                at = first + plan.starts[r + 1]
+                if n > _DRAW_CHUNK:
+                    draws[0], n = _largest_uniform(rng, n), 1
+                else:
+                    rng.random(out=draws[offsets[-1]:offsets[-1] + n])
+                offsets.append(offsets[-1] + n)
+                run.append((first, plan))
+                while len(tops) < len(plan.counts):
+                    tops.append(tops[-1] + top)
+                before.append(tops[r])
+                after.append(len(plan.counts) - r - 1)
+            first += plan.starts[-1]
+            j += 1
+        if not run:
+            break
+        terms = low + span * np.maximum.reduceat(draws[:offsets[-1]], offsets[:-1])
+        bound, after = np.array(before) + terms, np.array(after)
         for k in range(after.max()):
             bound = np.where(after > k, bound + top, bound)
-        # best only grows along the walk, so the timestamps that cannot beat
-        # it now never will
-        beaten = np.flatnonzero(bound > best).tolist()
-        terms, bound = terms.tolist(), bound.tolist()
-        for i in beaten:
-            if bound[i] <= best:
-                continue
-            plan, first = plans[stamps[i]], firsts[stamps[i]]
-            counts, starts = plan.counts, plan.starts
-            step_terms = [top] * len(counts)
-            step_terms[rounds[i]] = terms[i]
+        # best only grows along the walk, so a timestamp that cannot beat it
+        # now never will
+        for i in np.flatnonzero(bound > best).tolist():
+            start, plan = run[i]
+            step_terms = [top] * len(plan.counts)
+            step_terms[plan.order[0]] = terms.item(i)
             for r in plan.order[1:]:
                 if sum(step_terms) <= best:
                     break
-                bit_gen.advance(first + starts[r] - at)
-                step_terms[r] = low + span * _largest_uniform(rng, counts[r])
-                at = first + starts[r + 1]
+                bit_gen.advance(start + plan.starts[r] - at)
+                step_terms[r] = low + span * _largest_uniform(rng, plan.counts[r])
+                at = start + plan.starts[r + 1]
             best = max(best, sum(step_terms, 0.0))
-    bit_gen.advance(firsts[-1] - at)
+    bit_gen.advance(first - at)
     if saved["has_uint32"]:
         # advance drops the buffered 32-bit half that random() leaves alone
         bit_gen.state = {**bit_gen.state, "has_uint32": 1, "uinteger": saved["uinteger"]}
