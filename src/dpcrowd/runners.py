@@ -203,18 +203,13 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     )
     coeff_col, coeff_sq_col = coeffs[0], coeff_sqs[0]
 
-    def rhat_table(sensing: np.ndarray, eps: float) -> np.ndarray:
-        """max(R_hat, floor) of every pair at one budget, per partition row."""
-        rhat = kcif.effective_variance(sensing, np.full(sensing.shape, eps), sensitivity,
-                                       alpha=alpha)
-        return np.maximum(rhat, variance_floor)
-
-    # R_hat of a pair observed without noise (eps = inf): all of a
-    # non-private run's R_hat, and a private timestamp's R_hat before its
-    # granted pairs are written. Every grant of a uniform policy in a block
-    # is eps_uniform, so its granted pairs read the block's granted table,
-    # built at each block start.
-    rhat_plain = np.broadcast_to(rhat_table(sensing_parts, math.inf), (timestamps, m, d))
+    # max(R_hat, floor) of a pair observed without noise (eps = inf): all of
+    # a non-private run's R_hat, and a private timestamp's R_hat before its
+    # granted pairs are written
+    rhat_plain = np.broadcast_to(np.maximum(
+        kcif.effective_variance(sensing_parts, math.inf, sensitivity, alpha=alpha),
+        variance_floor,
+    ), (timestamps, m, d))
 
     ledgers: list[PrivacyLedger] | None = None
     if private:
@@ -267,15 +262,6 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                 if not adaptive:
                     cap = cfg.sampling.planned_samples(block_rows)
                     eps_uniform = allocate_uniform(epsilon, cap)
-                    # an underflowed eps_uniform grants nothing, so no pair
-                    # reads a granted table
-                    if eps_uniform > 0.0:
-                        parts = sensing_parts
-                        if len(parts) > 1:  # repartitioned: this block's rows
-                            parts = parts[block_start:block_start + block_rows]
-                        rhat_granted = np.broadcast_to(
-                            rhat_table(parts, eps_uniform), (block_rows, m, d)
-                        )
                 schedules = [
                     [
                         SamplingSchedule(
@@ -427,14 +413,11 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                     z[i, k] = released
                     # the array path's expressions for this pair; R_hat is at
                     # least variance_floor > 0, so nothing divides by zero
-                    if adaptive:
-                        r = kcif.combined_variance(
-                            sensings.item(tidx, i, k), grant_row[k], sensitivity, alpha
-                        )
-                        if r < variance_floor:  # np.maximum(r, floor)
-                            r = variance_floor
-                    else:
-                        r = rhat_granted.item(tidx - block_start, i, k)
+                    r = kcif.combined_variance(
+                        sensings.item(tidx, i, k), grant_row[k], sensitivity, alpha
+                    )
+                    if r < variance_floor:  # np.maximum(r, floor)
+                        r = variance_floor
                     value, info = coeff * released / r, coeff_sq / r
                     u[i, k], weight[i, k] = value, info
                     if rhat is not None:
@@ -453,14 +436,12 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
             # second path.
             if not private:
                 rhat = rhat_plain[tidx]
-            elif adaptive:
+            else:
                 # every grant is positive; eps_used stays inf wherever no noise
                 # was added, which drops the perturbation term from R_hat
                 eps_used = np.where(sampled, grants, np.inf)
                 rhat = kcif.effective_variance(sensings[tidx], eps_used, sensitivity, alpha=alpha)
                 rhat = np.maximum(rhat, variance_floor)
-            else:
-                rhat = np.where(sampled, rhat_granted[tidx - block_start], rhat_plain[tidx])
 
         prior, prior_var = kcif.predict(posterior, posterior_var, transition_t, gain, q_diag)
         if not all_initialized:

@@ -472,26 +472,45 @@ def test_runtime_warning_raised_as_error_is_diagnosed(tmp_path, capsys):
     assert err == "error: RuntimeWarning: overflow encountered in divide\n"
 
 
+OVERFLOWING_PERTURBATION_RUNS = [
+    # mu = 1e-160 grants dpcrowd_plus about 1e-160
+    ("algorithm = dpcrowd_plus\nmu = 1e-160\n",
+     "1,dpcrowd_plus,0,1,5,0.29999999999999999,4,1.1532118310952444e+155,"
+     "1.1665121515144487e+160,25,1400,118.71734281222973,25"),
+    # at epsilon = 1e-155 a uniform policy's eps_uniform overflows R_hat too;
+    # dpcrowd_w restarts its blocks every w = 5 timestamps, frozen or
+    # repartitioned
+    ("algorithm = fast\nepsilon = 1e-155\n",
+     "1,fast,0,1e-155,5,0.29999999999999999,4,2.3551129133499446e+151,"
+     "1.3725209313358792e+156,0,0,0,0"),
+    ("algorithm = dpcrowd_w\nepsilon = 1e-155\n",
+     "1,dpcrowd_w,0,1e-155,5,0.29999999999999999,4,3.8668543503535954e+150,"
+     "3.4262386764628599e+155,32,1792,119.14318866778569,32"),
+    ("algorithm = dpcrowd_w\nepsilon = 1e-155\nmodel.freeze_partition = false\n",
+     "1,dpcrowd_w,0,1e-155,5,0.29999999999999999,4,3.8145773732162481e+150,"
+     "3.3751130877963974e+155,32,1792,119.14318866778569,32"),
+]
+
+
 def test_overflowing_perturbation_term_warns_and_runs(tmp_path, capsys):
-    # mu = 1e-160 grants about 1e-160: c / eps is finite, but its square in
-    # R_hat overflows to inf. A per-pair R_hat in Python floats would not
-    # warn, so the engine recomputes that timestamp with numpy, which does.
-    text = PROBE_CFG + "algorithm = dpcrowd_plus\nmu = 1e-160\n"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        err = _run_diagnosed(tmp_path, capsys, text)
-    assert err == "error: RuntimeWarning: overflow encountered in multiply\n"
-    # without warnings as errors the run completes: R_hat = inf weighs the
-    # observation out, and the report keeps the bytes it had before per-pair
-    # R_hat values
-    cfg, out = _write_cfg(tmp_path, text), tmp_path / "r.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert main(["run", str(cfg), "--out", str(out)]) == 0
-    assert out.read_text().splitlines()[1] == (
-        "1,dpcrowd_plus,0,1,5,0.29999999999999999,4,1.1532118310952444e+155,"
-        "1.1665121515144487e+160,25,1400,118.71734281222973,25"
-    )
+    # c / eps is finite, but its square in R_hat overflows to inf. A
+    # per-pair R_hat in Python floats does not warn, so the engine
+    # recomputes that timestamp with numpy, which does.
+    for n, (extra, row) in enumerate(OVERFLOWING_PERTURBATION_RUNS):
+        text, case_path = PROBE_CFG + extra, tmp_path / str(n)
+        case_path.mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            err = _run_diagnosed(case_path, capsys, text)
+        assert err == "error: RuntimeWarning: overflow encountered in multiply\n", extra
+        # without warnings as errors the run completes: R_hat = inf weighs
+        # the observation out, and the report keeps the bytes it had before
+        # per-pair R_hat values
+        cfg, out = _write_cfg(case_path, text), case_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == row, extra
 
 
 def test_underflowing_window_budget_is_diagnosed(tmp_path, capsys):

@@ -580,7 +580,7 @@ def test_repartitioned_run_takes_one_draw_per_timestamp(monkeypatch, algorithm):
     np.testing.assert_allclose(result.posterior_var, variances, rtol=1e-12)
 
 
-# ------------------------------------------ R_hat tables against per-timestamp R_hat
+# ---------------------------------------- per-pair R_hat against per-timestamp R_hat
 
 def _spent_eps(result, shape):
     """Per-release budget of every (server, timestamp, dimension): the ledger
@@ -622,14 +622,14 @@ def _spent_eps(result, shape):
          floor=50.0, w=5, seed=7)
 @example(algorithm="dpcrowd_plus", freeze=True, budget=(1e-160, 1.0), alpha=3.0,
          floor=1e-12, w=5, seed=7)  # every timestamp on the array path
-def test_rhat_tables_match_per_timestamp_rhat(algorithm, freeze, budget, alpha, floor, w,
-                                              seed):
+def test_per_pair_rhat_matches_per_timestamp_rhat(algorithm, freeze, budget, alpha, floor, w,
+                                                  seed):
     # A private run writes R_hat, u and weight per granted pair, in Python
-    # floats, from the R_hat tables (uniform policies) or from its grant
-    # (dpcrowd_plus). The fused information the filter receives must keep
-    # the bits it has with the array expressions: R_hat = max(effective_
-    # variance, floor) recomputed every timestamp from the budgets the
-    # ledgers record, u and weight over every pair.
+    # floats, from the pair's grant, whichever policy chose it. The fused
+    # information the filter receives must keep the bits it has with the
+    # array expressions: R_hat = max(effective_variance, floor) recomputed
+    # every timestamp from the budgets the ledgers record, u and weight over
+    # every pair.
     timestamps = 40
     epsilon, sensitivity = budget
     rng = np.random.default_rng(seed)
@@ -692,34 +692,6 @@ def test_rhat_tables_match_per_timestamp_rhat(algorithm, freeze, budget, alpha, 
     if algorithm == "dpcrowd_w" and planned(w) != planned(timestamps % w or w):
         # a shorter last block that plans fewer samples grants more
         assert len({e for led in result.ledgers for sp in led.spends for _, e in sp}) > 1
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    sensing=st.lists(st.floats(0.0, 1e300), min_size=1, max_size=8),
-    sampled=st.lists(st.booleans(), min_size=8, max_size=8),
-    eps=st.sampled_from((5e-324, 1e-310, 1e-160, 1e-150)) | st.floats(1e-300, 1e3),
-    sensitivity=st.floats(1e-3, 1e3),
-    alpha=st.floats(1e-3, 1e3),
-    floor=st.sampled_from((5e-324, 1e-12, 1.0)),
-)
-def test_rhat_where_of_two_tables_is_rhat_of_masked_budgets(sensing, sampled, eps, sensitivity,
-                                                            alpha, floor):
-    # R_hat is elementwise, so one table at eps and one at inf, picked per
-    # pair, give the bits of R_hat over the masked budgets, also where a
-    # tiny eps overflows the perturbation term to inf
-    sensing = np.array(sensing)
-    mask = np.array(sampled[:len(sensing)])
-
-    def table(budget):
-        return np.maximum(effective_variance(sensing, budget, sensitivity, alpha=alpha), floor)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        picked = np.where(mask, table(np.full(sensing.shape, eps)),
-                          table(np.full(sensing.shape, np.inf)))
-        want = table(np.where(mask, eps, np.inf))
-    assert picked.tobytes() == want.tobytes()
 
 
 # ------------------------------- dpcrowd_plus grants against the ledger history
