@@ -14,6 +14,7 @@ import math
 import os
 from dataclasses import MISSING, dataclass, field, fields, replace
 
+from .datasets import read_text
 from .privacy import allocate_adaptive, allocate_uniform
 
 __all__ = [
@@ -359,8 +360,7 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
 
 def load_config(path, apply_env_seed: bool = True) -> ExperimentConfig:
     """Parse and validate a config file; DPCROWD_SEED overrides the seed."""
-    with open(path) as fh:
-        cfg = config_from_mapping(parse_config_text(fh.read()))
+    cfg = config_from_mapping(parse_config_text(read_text(path, ConfigError)))
     if apply_env_seed and os.environ.get(SEED_ENV_VAR):
         seed = _parse_value(SEED_ENV_VAR, os.environ[SEED_ENV_VAR], _KEYS["seed"][2])
         cfg = replace(cfg, seed=seed)

@@ -8,6 +8,7 @@ default-off engine option.
 from __future__ import annotations
 
 import csv
+import io
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "gen_linear",
     "gen_multilinear",
     "load_csv",
+    "read_text",
     "save_csv",
 ]
 
@@ -109,6 +111,22 @@ def _raise_first_bad_cell(rows: list[list[str]], start: int, width: int) -> None
             _parse_cell(cell.strip(), r, c)
 
 
+def read_text(path, error: type[ValueError]) -> str:
+    """A UTF-8 file's text, a leading byte-order mark dropped.
+
+    A byte that is not UTF-8 raises error, naming the path and the byte's
+    offset in the file.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is what follows the byte-order mark, if there is one
+        offset = len(data) - len(exc.object) + exc.start
+        raise error(f"{path}: byte {offset} is not UTF-8 ({exc.reason})") from None
+
+
 def load_csv(path) -> StreamPrefix:
     """Read a (T, d) stream: one row per timestamp, one column per dimension.
 
@@ -116,8 +134,8 @@ def load_csv(path) -> StreamPrefix:
     first row that mixes numbers and text is data with a bad cell. Ragged or
     non-numeric data raises CsvFormatError naming the row.
     """
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    text = read_text(path, CsvFormatError)
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
 

@@ -168,6 +168,27 @@ def test_validate_rejects_zero_window(tmp_path, capsys):
     assert "w >= 1" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_is_diagnosed(tmp_path, capsys):
+    # used to exit 1 with a UnicodeDecodeError traceback
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"algorithm = fast\n# caf\xe9\n")
+    assert main(["validate", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: byte 22 is not UTF-8 (invalid continuation byte)\n"
+    )
+    out = tmp_path / "r.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_csv_that_is_not_utf8_is_diagnosed(tmp_path, capsys):
+    data = tmp_path / "s.csv"
+    data.write_bytes(b"1\n2\n\xff\n")
+    err = _run_diagnosed(tmp_path, capsys, f"algorithm = fast\nmodel.d = 1\ntimestamps = 3\n"
+                                           f"data.source = csv\ndata.path = {data}\n")
+    assert err == f"error: {data}: byte 4 is not UTF-8 (invalid start byte)\n"
+
+
 @pytest.mark.parametrize("line, expected", [
     ("timestamps = yes", "expected an integer"),
     ("net.m = on", "expected an integer"),

@@ -88,6 +88,13 @@ def test_negative_pid_gain_rejected(key):
     assert getattr(config_from_mapping({"algorithm": "dpcrowd", key: "0"}).pid, key[4:]) == 0.0
 
 
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    p = tmp_path / "c.cfg"
+    p.write_bytes("\ufeffalgorithm = fast\nseed = 3\n".encode())
+    cfg = load_config(p, apply_env_seed=False)
+    assert (cfg.algorithm, cfg.seed) == ("fast", 3)
+
+
 def test_negative_env_seed_rejected(tmp_path, monkeypatch):
     p = tmp_path / "c.cfg"
     p.write_text("algorithm = fast\n")

@@ -162,6 +162,28 @@ def test_load_csv_diagnostics(tmp_path, text, message):
         assert str(err.value) == message
 
 
+def test_load_csv_keeps_the_first_row_after_a_byte_order_mark(tmp_path):
+    # "\ufeff5" failed float(), so row 1 was taken for a header and dropped
+    p = tmp_path / "s.csv"
+    p.write_bytes("\ufeff5\n6\n7\n".encode())
+    assert load_csv(p).values[:, 0].tolist() == [5.0, 6.0, 7.0]
+    p.write_bytes("\ufeffx1,x2\n1,2\n".encode())
+    assert load_csv(p).values.tolist() == [[1.0, 2.0]]
+
+
+@pytest.mark.parametrize("data, offset", [
+    (b"1\n\xff\n", 2),
+    (b"\xef\xbb\xbf1\n2\xe9\n", 6),  # counted from the start of the file, mark included
+    (b"1\n" * 10000 + b"\x80\n", 20000),
+])
+def test_load_csv_names_the_first_byte_that_is_not_utf8(tmp_path, data, offset):
+    p = tmp_path / "s.csv"
+    p.write_bytes(data)
+    with pytest.raises(CsvFormatError) as err:
+        load_csv(p)
+    assert str(err.value).startswith(f"{p}: byte {offset} is not UTF-8 (")
+
+
 def test_load_csv_empty_file(tmp_path):
     p = tmp_path / "s.csv"
     p.write_text("")
