@@ -6,6 +6,7 @@ visible in any run log). Heavy run grids are built once per module and shared.
 """
 
 import filecmp
+import functools
 import math
 
 import numpy as np
@@ -65,7 +66,7 @@ def _count_inversions(means, ses, want: str):
 
 # --------------------------------------------------------------- run grids
 
-def _linear_cfg(algorithm, seed, eps, rho=0.3):
+def _linear_cfg(algorithm, seed, eps, rho):
     # count stream with unit transition and process variance 1e5; 50 servers
     return ExperimentConfig(
         algorithm=algorithm, seed=seed, timestamps=1000, users=100000,
@@ -86,19 +87,27 @@ def _record(res):
     }
 
 
+@functools.cache
+def _linear_record(algorithm, seed, eps, rho):
+    """The _record of one _linear_cfg run. The grids share runs (rho_runs at
+    rho = 0.3 is linear_grid's dpcrowd column at eps = 0.1), and each runs
+    once; pass every argument, so that equal configs share one cache key."""
+    return _record(run_experiment(_linear_cfg(algorithm, seed, eps, rho)))
+
+
 @pytest.fixture(scope="module")
 def linear_grid():
     table = {}
     for algo in ("dpcrowd", "fast"):
         for eps in EPS_GRID:
             for seed in SEEDS:
-                table[algo, eps, seed] = _record(run_experiment(_linear_cfg(algo, seed, eps)))
+                table[algo, eps, seed] = _linear_record(algo, seed, eps, 0.3)
     return table
 
 
 @pytest.fixture(scope="module")
 def dfast_runs():
-    return [_record(run_experiment(_linear_cfg("dfast", seed, 0.1))) for seed in SEEDS]
+    return [_linear_record("dfast", seed, 0.1, 0.3) for seed in SEEDS]
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +115,7 @@ def rho_runs():
     table = {}
     for rho in RHO_GRID:
         for seed in SEEDS:
-            table[rho, seed] = _record(run_experiment(_linear_cfg("dpcrowd", seed, 0.1, rho)))
+            table[rho, seed] = _linear_record("dpcrowd", seed, 0.1, rho)
     return table
 
 
@@ -348,8 +357,8 @@ def test_criterion_09_communication_accounting(linear_grid):
     flood_ok = True
     for rho in (0.1, 0.5, 0.9):
         for seed in SEEDS[:3]:
-            flood = run_experiment(_linear_cfg("dfast", seed, 0.1, rho)).stats.packets
-            onehop = run_experiment(_linear_cfg("dpcrowd", seed, 0.1, rho)).stats.packets
+            flood = _linear_record("dfast", seed, 0.1, rho)["packets"]
+            onehop = _linear_record("dpcrowd", seed, 0.1, rho)["packets"]
             flood_ok = flood_ok and flood > onehop
 
     _verdict(9, "packets equal broadcaster degree sums; caps and flood ordering hold",
