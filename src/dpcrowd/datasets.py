@@ -132,10 +132,15 @@ def load_csv(path) -> StreamPrefix:
 
     A first row in which no cell is a number is a header and is skipped; a
     first row that mixes numbers and text is data with a bad cell. Ragged or
-    non-numeric data raises CsvFormatError naming the row.
+    non-numeric data raises CsvFormatError naming the row, and text the csv
+    module cannot split into fields names the file and its line.
     """
     text = read_text(path, CsvFormatError)
-    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
 

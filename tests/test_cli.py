@@ -189,6 +189,15 @@ def test_csv_that_is_not_utf8_is_diagnosed(tmp_path, capsys):
     assert err == f"error: {data}: byte 4 is not UTF-8 (invalid start byte)\n"
 
 
+def test_csv_field_over_the_size_limit_is_diagnosed(tmp_path, capsys):
+    # used to exit 1 with a _csv.Error traceback
+    data = tmp_path / "s.csv"
+    data.write_text('1\n2\n"' + "7" * 200_000 + '"\n')
+    err = _run_diagnosed(tmp_path, capsys, f"algorithm = fast\nmodel.d = 1\ntimestamps = 3\n"
+                                           f"data.source = csv\ndata.path = {data}\n")
+    assert err == f"error: {data}: line 3: field larger than field limit (131072)\n"
+
+
 @pytest.mark.parametrize("line, expected", [
     ("timestamps = yes", "expected an integer"),
     ("net.m = on", "expected an integer"),

@@ -184,6 +184,20 @@ def test_load_csv_names_the_first_byte_that_is_not_utf8(tmp_path, data, offset):
     assert str(err.value).startswith(f"{p}: byte {offset} is not UTF-8 (")
 
 
+@pytest.mark.parametrize("text, line", [
+    ('1\n2\n"' + "7" * 200_000 + '"\n', 3),
+    # the reader's line counts the blank line that no row counts
+    ("1\n\n2\n" + "7" * 200_000 + "\n", 4),
+], ids=["quoted", "after_a_blank_line"])
+def test_load_csv_names_the_line_of_a_field_over_the_size_limit(tmp_path, text, line):
+    # used to end in a _csv.Error traceback
+    p = tmp_path / "s.csv"
+    p.write_text(text)
+    with pytest.raises(CsvFormatError) as err:
+        load_csv(p)
+    assert str(err.value) == f"{p}: line {line}: field larger than field limit (131072)"
+
+
 def test_load_csv_empty_file(tmp_path):
     p = tmp_path / "s.csv"
     p.write_text("")
