@@ -20,13 +20,11 @@ __all__ = [
 ]
 
 
-def as_transition(transition, d: int) -> np.ndarray:
-    """Coerce a scalar or (d, d) array-like into a validated transition matrix."""
+def as_transition(transition) -> np.ndarray:
+    """Coerce a square (d, d) array-like into a validated transition matrix."""
     a = np.asarray(transition, dtype=float)
-    if a.ndim == 0:
-        a = np.eye(d) * float(a)
-    if a.shape != (d, d):
-        raise ValueError(f"transition must be scalar or ({d}, {d}), got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"transition must be a square (d, d) matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("transition matrix must be finite")
     return a
@@ -56,17 +54,12 @@ class ProcessModel:
     noise_var: np.ndarray
 
     def __post_init__(self) -> None:
-        d = self.d
-        object.__setattr__(self, "transition", as_transition(self.transition, d))
-        object.__setattr__(self, "noise_var", as_noise_diag(self.noise_var, d))
+        object.__setattr__(self, "transition", as_transition(self.transition))
+        object.__setattr__(self, "noise_var", as_noise_diag(self.noise_var, self.d))
 
     @property
     def d(self) -> int:
-        a = np.asarray(self.transition, dtype=float)
-        if a.ndim == 0:
-            q = np.asarray(self.noise_var, dtype=float)
-            return 1 if q.ndim == 0 else q.shape[0]
-        return a.shape[0]
+        return self.transition.shape[0]
 
 
 def partition_users(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -93,8 +86,6 @@ class StreamPrefix:
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError("stream values must be a (T, d) array with T, d >= 1")
         if not np.all(np.isfinite(v)):

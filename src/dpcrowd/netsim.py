@@ -3,13 +3,14 @@
 Topologies are undirected adjacency matrices: each pair joins with the target
 density, then isolated nodes are repaired with one random edge. Delivery is
 one-hop broadcast; DFAST-style blind flooding relays every newly seen payload
-to all neighbors once. Packets count delivered edge-directions.
+to all neighbors once. Packets count delivered edge-directions; a flood's
+rounds give its packets and hops. A run's latencies are drawn in one pass.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,12 +58,12 @@ def degrees(adj: np.ndarray) -> np.ndarray:
     return adj.sum(axis=1).astype(np.int64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TopologySchedule:
     """Deterministic adjacency per timestamp.
 
-    Static by default (one draw reused all run); dynamic mode regenerates the
-    graph each timestamp from a per-timestamp child seed, so any t can be
+    Every t draws from SeedSequence(seed), so a static schedule repeats one
+    graph; a dynamic one draws from SeedSequence((seed, t)), so any t can be
     re-derived independently of iteration order.
     """
 
@@ -70,23 +71,10 @@ class TopologySchedule:
     density: float
     seed: int
     dynamic: bool = False
-    _static: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"need at least one node, got m={self.m}")
-        if not 0.0 <= self.density <= 1.0:
-            raise ValueError(f"density must lie in [0, 1], got {self.density}")
 
     def adjacency_at(self, t: int) -> np.ndarray:
-        if self.m == 1:
-            return np.zeros((1, 1), dtype=bool)  # a lone server has no peers
-        if not self.dynamic:
-            if self._static is None:
-                rng = np.random.default_rng(np.random.SeedSequence(self.seed))
-                self._static = generate_topology(self.m, self.density, rng)
-            return self._static
-        rng = np.random.default_rng(np.random.SeedSequence((self.seed, int(t))))
+        key = (self.seed, int(t)) if self.dynamic else self.seed
+        rng = np.random.default_rng(np.random.SeedSequence(key))
         return generate_topology(self.m, self.density, rng)
 
 
@@ -94,11 +82,11 @@ class TopologySchedule:
 class CommStats:
     """Run-level communication accounting."""
 
-    packets: int = 0
-    payload_bytes: int = 0
-    max_latency_ms: float = 0.0
-    broadcasts: np.ndarray | None = None
-    packets_by_t: list = field(default_factory=list)
+    packets: int
+    payload_bytes: int
+    max_latency_ms: float
+    broadcasts: np.ndarray
+    packets_by_t: list[int]
 
     @classmethod
     def of(cls, packets_by_t, packet_bytes: int, max_latency_ms: float,
@@ -111,8 +99,6 @@ class CommStats:
 
 
 def message_num_bytes(d: int) -> int:
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
     return HEADER_BYTES + 24 * d
 
 
@@ -177,9 +163,7 @@ def max_delivery_latency(
     and where the bound still beats the running maximum, further rounds are
     drawn smallest first, bounding again after each; once the bound is <=
     the maximum, no undrawn round can lift it. So the result equals the
-    maximum over exact latencies. The state is read once, and rng is left
-    past every draw of every timestamp, as if each had been taken, with any
-    buffered 32-bit half kept.
+    maximum over exact latencies. Where rng is left afterwards is undefined.
 
     rng must wrap PCG64, as default_rng's do: random() takes one 64-bit
     output per double, so PCG64.advance(n) skips exactly n doubles, and a
@@ -189,7 +173,6 @@ def max_delivery_latency(
     span = 1.2 * center - low
     top = low + span  # a round's term until it is drawn
     bit_gen = rng.bit_generator
-    saved = bit_gen.state
     draws = np.empty(_DRAW_CHUNK)
     tops = [0.0]  # tops[k]: k undrawn rounds summed from 0.0, as a bound sums them
     at = first = j = 0  # the generator's stream position, timestamp j's first one
@@ -237,37 +220,25 @@ def max_delivery_latency(
                 step_terms[r] = low + span * _largest_uniform(rng, plan.counts[r])
                 at = start + plan.starts[r + 1]
             best = max(best, sum(step_terms, 0.0))
-    bit_gen.advance(first - at)
-    if saved["has_uint32"]:
-        # advance drops the buffered 32-bit half that random() leaves alone
-        bit_gen.state = {**bit_gen.state, "has_uint32": 1, "uinteger": saved["uinteger"]}
     return best
 
 
-def flood_reachability(adj: np.ndarray) -> tuple[np.ndarray, int, int, list[int]]:
-    """Blind-flood every node's payload; returns (known, hops, packets, per-round forwards).
+def flood_reachability(adj: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Blind-flood every node's payload; returns (known, per-round forwards).
 
     known[i, p] marks that node i holds payload p after flooding completes.
     Each node forwards each newly seen payload (its own included) to all its
-    neighbors exactly once; packets count every forward over every edge
-    direction. hops is the last round in which any node learned something.
+    neighbors exactly once. rounds holds each round's forwards over every
+    edge direction: sum(rounds) packets, and len(rounds) - 1 hops, since the
+    last round's forwards teach no node anything.
     """
-    m = adj.shape[0]
     deg = degrees(adj)
-    known = np.eye(m, dtype=bool)
+    known = np.eye(adj.shape[0], dtype=bool)
     new = known.copy()
-    packets = 0
-    hops = 0
     rounds: list[int] = []
-    round_no = 0
     while new.any():
-        round_no += 1
-        forwards = int((deg * new.sum(axis=1)).sum())
-        packets += forwards
-        rounds.append(forwards)
+        rounds.append(int((deg * new.sum(axis=1)).sum()))
         received = (adj.astype(np.int64) @ new.astype(np.int64)) > 0
         new = received & ~known
-        if new.any():
-            hops = round_no
-            known |= new
-    return known, hops, packets, rounds
+        known |= new
+    return known, rounds

@@ -96,11 +96,13 @@ class PrivacyLedger:
         self.epsilon_total = float(epsilon_total)
         self.dims = dims
         self.w = int(w)
-        self.spends: list[list[tuple[int, float]]] = [[] for _ in range(dims)]
-        # the same spends per dimension as two lists, for window queries;
-        # audit reads only spends
-        self._stamps: list[list[int]] = [[] for _ in range(dims)]
-        self._amounts: list[list[float]] = [[] for _ in range(dims)]
+        self.stamps: list[list[int]] = [[] for _ in range(dims)]
+        self.amounts: list[list[float]] = [[] for _ in range(dims)]
+
+    @property
+    def spends(self) -> list[list[tuple[int, float]]]:
+        """Each dimension's spends in charge order, (stamps[j], amounts[j]) pairs."""
+        return [list(zip(s, a)) for s, a in zip(self.stamps, self.amounts)]
 
     def remaining_window(self, dim: int, t: int) -> float:
         """Budget left for a new charge at t: total minus the trailing-window spend.
@@ -108,11 +110,11 @@ class PrivacyLedger:
         The trailing window is t - w + 1 .. t - 1; spends are recorded in
         timestamp order, so bisections on the stamps find it.
         """
-        stamps = self._stamps[dim]
+        stamps = self.stamps[dim]
         first = bisect_left(stamps, t - self.w + 1)
         # a spend at t (an earlier charge at t) lies outside it
         stop = bisect_left(stamps, t, first) if stamps and stamps[-1] >= t else len(stamps)
-        return self.epsilon_total - math.fsum(self._amounts[dim][first:stop])
+        return self.epsilon_total - math.fsum(self.amounts[dim][first:stop])
 
     def charge(self, dim: int, t: int, eps_t: float) -> None:
         """Record a spend of eps_t at timestamp t, or raise BudgetError.
@@ -125,7 +127,7 @@ class PrivacyLedger:
             raise KeyError(f"dimension {dim} out of range [0, {self.dims})")
         if eps_t < 0 or not math.isfinite(eps_t):
             raise ValueError(f"charge must be finite and non-negative, got {eps_t}")
-        stamps = self._stamps[dim]
+        stamps = self.stamps[dim]
         if stamps and t < stamps[-1]:
             raise ValueError(
                 f"charge at t={t} precedes the latest spend at t={stamps[-1]} "
@@ -137,13 +139,12 @@ class PrivacyLedger:
         # non-negative spends and an exact sum, it is the only one that can
         # breach.
         lo = t - self.w + 1
-        amounts = self._amounts[dim]
+        amounts = self.amounts[dim]
         window = amounts[bisect_left(stamps, lo):]
         window.append(eps_t)
         attempted = math.fsum(window)
         if attempted > self.epsilon_total:
             raise BudgetError(dim, (lo, t), attempted, self.epsilon_total)
-        self.spends[dim].append((t, eps_t))
         stamps.append(t)
         amounts.append(eps_t)
 
@@ -161,7 +162,7 @@ class PrivacyLedger:
         one sweep.
         """
         for dim in range(self.dims):
-            ordered = sorted(self.spends[dim])
+            ordered = sorted(zip(self.stamps[dim], self.amounts[dim]))
             stamps = [ts for (ts, _) in ordered]
             amounts = [e for (_, e) in ordered]
             count = len(ordered)

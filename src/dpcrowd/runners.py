@@ -111,7 +111,7 @@ def _make_truth(cfg: ExperimentConfig, model: ProcessModel, rng: np.random.Gener
 def _grouping_thresholds(cfg: ExperimentConfig) -> GroupingThresholds:
     # eps_avg: the mean per-timestamp budget eps/w of a fully spent window,
     # positive here (ExperimentConfig.validate)
-    eps_avg = cfg.epsilon / max(cfg.w, 1)
+    eps_avg = cfg.epsilon / cfg.w
     eta1 = cfg.grouping.eta1
     if eta1 is None:
         eta1 = 2.0 * math.sqrt(2.0) * cfg.sensitivity_c / eps_avg
@@ -193,15 +193,12 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     for i, x in enumerate(obs_noise):
         x *= noise_scale[:, i]
         x += coeffs[:, i] * truth
-    # per-timestamp rows; a frozen partition's are views of its one partition,
-    # read once a run
-    frozen = cfg.model.freeze_partition
+    # per-timestamp rows; a frozen partition's are broadcasts of its one row
     sensing_parts = coeff_sqs * q_diag
     coeffs, coeff_sqs, sensings = (
         np.broadcast_to(a, (timestamps, m, a.shape[2]))
         for a in (coeffs, coeff_sqs, sensing_parts)
     )
-    coeff_col, coeff_sq_col = coeffs[0], coeff_sqs[0]
 
     # max(R_hat, floor) of a pair observed without noise (eps = inf): all of
     # a non-private run's R_hat, and a private timestamp's R_hat before its
@@ -296,11 +293,10 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                 link = adj.astype(float)
                 traffic.append(degrees(adj))
             else:
-                known, _, _, flood_rounds = flood_reachability(adj)
+                known, flood_rounds = flood_reachability(adj)
                 traffic.append(LatencyPlan.of(flood_rounds))
                 average = kcif.flood_average(known)
-        if not frozen:
-            coeff_col, coeff_sq_col = coeffs[tidx], coeff_sqs[tidx]
+        coeff_col, coeff_sq_col = coeffs[tidx], coeff_sqs[tidx]
         # Raw aggregates: consumed by the perturbation/selection block below
         # and by nothing else in private modes.
         x_raw = obs_noise[:, tidx]
@@ -374,7 +370,8 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                         continue
                     granted.append(k)
                     grant_row[k] = grants[i, k] = grant
-                    eps_left_after[i, k] = max(0.0, min(before, epsilon) - grant)
+                    # >= 0: allocate_adaptive grants at most p_max * before <= before
+                    eps_left_after[i, k] = before - grant
                 if not granted:
                     continue
                 granted_by_server[i] = granted

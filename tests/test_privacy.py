@@ -290,7 +290,8 @@ def test_audit_matches_brute_force_on_injected_spends(w, per_dim):
     # the audit rejects exactly what a scan of every window rejects, naming
     # the first dimension's first window over budget and its sum
     led = PrivacyLedger(1.0, dims=len(per_dim), w=w)
-    led.spends = [list(spends) for spends in per_dim]
+    led.stamps = [[t for t, _ in spends] for spends in per_dim]
+    led.amounts = [[e for _, e in spends] for spends in per_dim]
     breaches = [(dim, _first_breach(spends, 1.0, w)) for dim, spends in enumerate(per_dim)]
     breaches = [(dim, found) for dim, found in breaches if found is not None]
     assert (not breaches) == all(_brute_force_ok(spends, 1.0, w) for spends in per_dim)
@@ -338,3 +339,54 @@ def test_allocate_adaptive_never_violates_ledger():
             led.charge(0, t, eps_t)
     led.audit()
 
+
+
+@given(
+    epsilon=st.floats(1e-6, 1e3),
+    w=st.integers(1, 12),
+    earlier=st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.sampled_from(("share", "subnormal", "rest")),
+            st.floats(0.0, 1.0),
+        ),
+        max_size=25,
+    ),
+    gap=st.integers(1, 3),
+    interval=st.integers(1, 10_000),
+    mu=st.floats(0.0, 10.0),
+    p_max=st.floats(0.0, 1.0, exclude_min=True),
+    eps_max_share=st.floats(0.0, 1.0, exclude_min=True),
+)
+# all but a sliver of the window spent, then a subnormal spend
+@example(epsilon=1.0, w=4, earlier=[(0, "rest", 1.0), (1, "subnormal", 1.0)], gap=1,
+         interval=1, mu=1.0, p_max=1.0, eps_max_share=1.0)
+@example(epsilon=0.3, w=12, earlier=[(0, "share", 1 - 2**-53)], gap=1, interval=10_000,
+         mu=10.0, p_max=1.0, eps_max_share=1.0)
+@settings(max_examples=500, deadline=None)
+def test_adaptive_remainder_needs_no_clamp(
+    epsilon, w, earlier, gap, interval, mu, p_max, eps_max_share
+):
+    # The engine hands a grant's leftover window budget, before - grant, to
+    # next_interval_plus. before is epsilon minus an exact sum of
+    # non-negative spends, so at most epsilon, and a grant is at most
+    # p_max * before <= before: clamping into [0, epsilon] changes no bit.
+    led = PrivacyLedger(epsilon, w=w)
+    t = 1
+    for step, kind, x in earlier:
+        t += step
+        amount = {
+            "share": x * epsilon,
+            "subnormal": x * 2.0**-1022,
+            "rest": max(0.0, led.remaining_window(0, t)) * (1.0 - x * 2.0**-40),
+        }[kind]
+        try:
+            led.charge(0, t, amount)
+        except BudgetError:
+            pass
+    t += gap
+    before = led.remaining_window(0, t)
+    grant = allocate_adaptive(before, interval, mu, p_max, eps_max_share * epsilon)
+    if grant > 0.0:
+        assert before - grant >= 0.0
+        assert (before - grant).hex() == max(0.0, min(before, epsilon) - grant).hex()

@@ -198,7 +198,7 @@ def test_dfast_floods_once_per_topology(dynamic, monkeypatch):
     res = run_experiment(_cfg(algorithm="dfast", net=net))
     assert len(calls) == (40 if dynamic else 1)
     topo = TopologySchedule(m=6, density=0.4, seed=9, dynamic=dynamic)
-    expected = [flood_reachability(topo.adjacency_at(t))[2] for t in range(1, 41)]
+    expected = [sum(flood_reachability(topo.adjacency_at(t))[1]) for t in range(1, 41)]
     assert res.stats.packets_by_t == expected
 
 
