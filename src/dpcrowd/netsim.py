@@ -3,8 +3,8 @@
 Topologies are undirected adjacency matrices: each pair joins with the target
 density, then isolated nodes are repaired with one random edge. Delivery is
 one-hop broadcast; DFAST-style blind flooding relays every newly seen payload
-to all neighbors once. Packets count delivered edge-directions; a flood's
-rounds give its packets and hops. A run's latencies are drawn in one pass.
+to all neighbors once. Packets count delivered edge-directions, a flood's
+per round. A run's latencies are drawn in one pass.
 """
 
 from __future__ import annotations
@@ -229,8 +229,8 @@ def flood_reachability(adj: np.ndarray) -> tuple[np.ndarray, list[int]]:
     known[i, p] marks that node i holds payload p after flooding completes.
     Each node forwards each newly seen payload (its own included) to all its
     neighbors exactly once. rounds holds each round's forwards over every
-    edge direction: sum(rounds) packets, and len(rounds) - 1 hops, since the
-    last round's forwards teach no node anything.
+    edge direction, so sum(rounds) is the packets; the last round teaches no
+    node anything, so the last payload arrives in round len(rounds) - 1.
     """
     deg = degrees(adj)
     known = np.eye(adj.shape[0], dtype=bool)

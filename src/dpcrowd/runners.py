@@ -177,7 +177,7 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     topo = TopologySchedule(m=m, density=cfg.net.rho, seed=topo_seed, dynamic=cfg.net.dynamic)
 
     # User partitions as (partitions, m, 1) columns: the set-up draw for a
-    # frozen partition; a repartitioned run leaves that draw unused and takes
+    # fixed partition; a repartitioned run leaves that draw unused and takes
     # the next one at each timestamp.
     sizes = partition_users(cfg.users, m, partition_rng)[None]
     if not cfg.model.freeze_partition:
@@ -193,7 +193,7 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     for i, x in enumerate(obs_noise):
         x *= noise_scale[:, i]
         x += coeffs[:, i] * truth
-    # per-timestamp rows; a frozen partition's are broadcasts of its one row
+    # per-timestamp rows; with one partition, broadcasts of its one row
     sensing_parts = coeff_sqs * q_diag
     coeffs, coeff_sqs, sensings = (
         np.broadcast_to(a, (timestamps, m, a.shape[2]))
