@@ -3,7 +3,10 @@
 Exit status is 0 on success and 2 on any diagnosed failure (bad config or
 option, unreadable data, exhausted budget, a diverged run, a run too large to
 allocate, a numpy RuntimeWarning raised as an error), with the reason printed
-to stderr.
+to stderr. A run diverges where a release, a feedback error or a private
+observation's weight (a grant whose R_hat overflows) is not finite; the
+engine checks these itself, so such a run ends in exit 2 whatever the
+warning filter.
 """
 
 from __future__ import annotations

@@ -201,6 +201,14 @@ class ExperimentConfig:
             raise ConfigError("net.rho must lie in (0, 1]")
         if self.net.latency_ms_center <= 0:
             raise ConfigError("net.latency_ms_center must be positive")
+        # a flood's latency sums up to net.m rounds of at most 1.2 c each (a
+        # one-hop exchange is one round); a factor of two covers the rounding
+        if not math.isfinite(2.0 * (self.net.m * (1.2 * self.net.latency_ms_center))):
+            raise ConfigError(
+                f"net.latency_ms_center = {self.net.latency_ms_center:g} overflows with"
+                f" net.m = {self.net.m}: a flood's latency sums up to net.m rounds of"
+                " 1.2 * net.latency_ms_center, and twice that must be finite"
+            )
         if self.sampling.mode not in ("adaptive", "fixed"):
             raise ConfigError("sampling.mode must be 'adaptive' or 'fixed'")
         if self.sampling.interval < 1:

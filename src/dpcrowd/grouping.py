@@ -91,13 +91,13 @@ def predict_region(history, window: int) -> np.ndarray:
 
 def may_merge(forecasts, thresholds: GroupingThresholds) -> bool:
     """False when no two small forecasts lie within value_gap, so that
-    group_regions returns singletons whatever the histories.
+    group_regions would return singletons whatever the histories.
 
-    The one no-merge rule: group_regions applies it before any grouping work,
-    and the engine applies it to skip grouping. Sorted, fl(p[j+2] - p[j]) >=
-    fl(p[j+1] - p[j]) since rounding is monotone, so adjacent gaps suffice.
-    NaN forecasts never merge and sit out the check; a gap that is NaN (equal
-    infinities) fails it.
+    The one no-merge rule, and the engine its one caller: a server's grants
+    go to group_regions only where it is True, non-finite forecasts
+    included. Sorted, fl(p[j+2] - p[j]) >= fl(p[j+1] - p[j]) since rounding
+    is monotone, so adjacent gaps suffice. NaN forecasts never merge and sit
+    out the check; a gap that is NaN (equal infinities) fails it.
     """
     ordered = sorted(
         p for p in forecasts if not (p >= thresholds.large_value or math.isnan(p))
@@ -113,17 +113,17 @@ def group_regions(
 ) -> GroupPartition:
     """Partition the sampled dimensions into similarity groups.
 
-    `predictions` and the columns of the (T, k) `history` are aligned with
-    `sampled`. Large-valued dimensions go solo. The rest are seeded in
+    `predictions` (the engine passes its predict_region forecasts of the
+    granted columns) and the columns of the (T, k) `history` are aligned
+    with `sampled`. Large-valued dimensions go solo. The rest are seeded in
     ascending order of prediction (ties by index); a dimension joins the
     seed's group when its predicted value and its min-max-normalized recent
-    history both sit within the gaps. Deterministic in its inputs.
+    history both sit within the gaps, so where may_merge is False every
+    group is a singleton. Deterministic in its inputs.
     """
     dims = [int(k) for k in sampled]
     predictions = np.asarray(predictions, dtype=float)
     forecasts = predictions.tolist()
-    if not may_merge(forecasts, thresholds):
-        return GroupPartition(groups=tuple(sorted((k,) for k in dims)))
     small = [j for j, p in enumerate(forecasts) if not p >= thresholds.large_value]
     padded = _front_padded(np.asarray(history, dtype=float), thresholds.history_window)
     lo = padded.min(axis=0)

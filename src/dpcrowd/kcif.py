@@ -57,7 +57,9 @@ def combined_variance(sensing_var, eps_t, sensitivity, alpha):
 
     The same operations in the same order on arrays and on Python floats, so
     a per-pair R_hat in floats keeps the bits of the array's element. Python
-    floats never warn: an overflow gives inf silently where numpy would warn.
+    floats never warn: an overflow gives inf silently, and the engine refuses
+    a private observation whose R_hat or weight is not finite
+    (RunDivergedError), whatever the warning filter.
     """
     scale = sensitivity / eps_t
     return alpha * (2.0 * scale * scale + sensing_var)
@@ -82,17 +84,17 @@ def predict(posterior, posterior_var, transition_t, gain, process_var):
     return posterior @ transition_t, gain * posterior_var + process_var
 
 
-def initialize(released, coefficient, rhat, transition_t, gain, process_var):
+def initialize(released, coefficient, weight, transition_t, gain, process_var):
     """First-timestamp prior from the first released observation.
 
-    prior = released / coefficient with initial weight coefficient^2 / rhat;
-    a server with no users starts at 0 with an uninformative variance.
-    transition_t and gain are as in predict.
+    prior = released / coefficient with initial weight m0 = weight, the
+    observation's coefficient^2 / R_hat as the engine fuses it; a server
+    with no users starts at 0 with an uninformative variance. transition_t
+    and gain are as in predict.
     """
     safe = np.where(coefficient > 0, coefficient, 1.0)
     estimate = np.where(coefficient > 0, released / safe, 0.0)
-    m0 = np.where(coefficient > 0, coefficient * coefficient / rhat,
-                  uninformed_variance(process_var))
+    m0 = np.where(coefficient > 0, weight, uninformed_variance(process_var))
     return estimate @ transition_t, gain * m0 + process_var
 
 

@@ -37,7 +37,8 @@ __all__ = [
 
 
 class RunDivergedError(RuntimeError):
-    """A run reached a non-finite release or feedback error, so it has no report."""
+    """A run reached a non-finite release, feedback error or observation
+    weight, so it has no report."""
 
 
 @dataclass
@@ -200,21 +201,18 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
         for a in (coeffs, coeff_sqs, sensing_parts)
     )
 
-    # max(R_hat, floor) of a pair observed without noise (eps = inf): all of
-    # a non-private run's R_hat, and a private timestamp's R_hat before its
-    # granted pairs are written
-    rhat_plain = np.broadcast_to(np.maximum(
-        kcif.effective_variance(sensing_parts, math.inf, sensitivity, alpha=alpha),
-        variance_floor,
-    ), (timestamps, m, d))
-
     ledgers: list[PrivacyLedger] | None = None
     if private:
         ledger_w = cfg.w if policy.w_event else timestamps
         ledgers = [PrivacyLedger(epsilon, dims=d, w=ledger_w) for _ in range(m)]
     else:
-        # a non-private run observes every pair every timestamp
+        # a non-private run observes every pair every timestamp, each with
+        # max(R_hat, floor) at eps = inf
         sampled = np.ones((m, d), dtype=bool)
+        rhat_plain = np.broadcast_to(np.maximum(
+            kcif.effective_variance(sensing_parts, math.inf, sensitivity, alpha=alpha),
+            variance_floor,
+        ), (timestamps, m, d))
     eps_max = epsilon * cfg.eps_max_fraction
     thresholds = _grouping_thresholds(cfg) if grouping else None
     tau = cfg.grouping.tau
@@ -301,12 +299,10 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
         # and by nothing else in private modes.
         x_raw = obs_noise[:, tidx]
 
-        # A private timestamp starts from R_hat at eps = inf and zero u and
-        # weight, and writes each granted pair's values in Python floats;
-        # per_pair turns False where it must take the array path below.
-        per_pair = private
         if not private:
             z = x_raw
+            u = coeff_col * z / rhat_plain[tidx]
+            weight = coeff_sq_col / rhat_plain[tidx]
         else:
             due_pairs = calendar.pop(t, ())
             if not due_pairs and tidx >= step_until:
@@ -335,11 +331,9 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
             z = observations[:, tidx]
             z[...] = releases[:, tidx - 1] if tidx else 0.0
             granted_by_server: dict[int, list[int]] = {}
-        if private:
-            grants = np.zeros((m, d))
-            # the unsampled pairs' R_hat is read only by the initializer; all
-            # else reads the granted pairs' u and weight
-            rhat = rhat_plain[tidx].copy() if not all_initialized else None
+            # a private timestamp writes each granted pair's values in Python
+            # floats; the other pairs keep zero u and weight
+            sampled = np.zeros((m, d), dtype=bool)
             u = np.zeros((m, d))
             weight = np.zeros((m, d))
             forecasts = None  # every server's forecasts, once a timestamp
@@ -369,7 +363,8 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                         calendar.setdefault(schedule.next_sample_t, []).append((i, k))
                         continue
                     granted.append(k)
-                    grant_row[k] = grants[i, k] = grant
+                    grant_row[k] = grant
+                    sampled[i, k] = True
                     # >= 0: allocate_adaptive grants at most p_max * before <= before
                     eps_left_after[i, k] = before - grant
                 if not granted:
@@ -383,21 +378,16 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                 if grouping and len(granted) > 1:
                     if forecasts is None:
                         # each forecast has the bits of predict_region over the
-                        # server's granted columns; numpy's warnings are left
-                        # to that call, which a non-finite forecast takes
-                        with np.errstate(over="ignore", invalid="ignore"):
-                            forecasts = predict_region(
-                                releases[:, max(0, tidx - tau):tidx].swapaxes(0, 1), tau
-                            )
-                    predictions = [forecasts.item(i, k) for k in granted]
-                    if not all(map(math.isfinite, predictions)) or \
-                            may_merge(predictions, thresholds):
-                        # forecasts and trends read only the last tau releases
-                        # of the granted columns
-                        recent = releases[i, max(0, tidx - tau):tidx][:, granted]
-                        partition = group_regions(
-                            granted, predict_region(recent, tau), recent, thresholds
+                        # server's granted columns
+                        forecasts = predict_region(
+                            releases[:, max(0, tidx - tau):tidx].swapaxes(0, 1), tau
                         )
+                    predictions = [forecasts.item(i, k) for k in granted]
+                    if may_merge(predictions, thresholds):
+                        # trends read only the last tau releases of the
+                        # granted columns
+                        recent = releases[i, max(0, tidx - tau):tidx][:, granted]
+                        partition = group_regions(granted, predictions, recent, thresholds)
                         shares = perturb_groups(
                             partition, x_raw[i].tolist(), grant_row, sensitivity, rng
                         )
@@ -408,53 +398,33 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                     else:
                         released = shares[k]
                     z[i, k] = released
-                    # the array path's expressions for this pair; R_hat is at
-                    # least variance_floor > 0, so nothing divides by zero
+                    # max(R_hat, floor): at least variance_floor > 0, so
+                    # nothing divides by zero
                     r = kcif.combined_variance(
                         sensings.item(tidx, i, k), grant_row[k], sensitivity, alpha
                     )
-                    if r < variance_floor:  # np.maximum(r, floor)
+                    if r < variance_floor:
                         r = variance_floor
                     value, info = coeff * released / r, coeff_sq / r
-                    u[i, k], weight[i, k] = value, info
-                    if rhat is not None:
-                        rhat[i, k] = r
                     if not (math.isfinite(r) and math.isfinite(value) and math.isfinite(info)):
-                        per_pair = False
-            sampled = grants > 0.0
-
-        if not per_pair:
-            # The array path: R_hat here and u and weight below, of every
-            # pair at once. It is all of a non-private run's. A private
-            # timestamp takes it only when a per-pair value came out
-            # non-finite, the one case where numpy warns (overflow, invalid
-            # value) and Python floats do not, so that the same warning fires
-            # at the same point as before the per-pair values; it is the only
-            # second path.
-            if not private:
-                rhat = rhat_plain[tidx]
-            else:
-                # every grant is positive; eps_used stays inf wherever no noise
-                # was added, which drops the perturbation term from R_hat
-                eps_used = np.where(sampled, grants, np.inf)
-                rhat = kcif.effective_variance(sensings[tidx], eps_used, sensitivity, alpha=alpha)
-                rhat = np.maximum(rhat, variance_floor)
+                        # an overflowed R_hat or weight, or a non-finite release
+                        raise RunDivergedError(
+                            f"run diverged: non-finite observation weight at server {i},"
+                            f" t={t}, dimension {k} (grant {grant_row[k]}, R_hat {r})"
+                        )
+                    u[i, k], weight[i, k] = value, info
 
         prior, prior_var = kcif.predict(posterior, posterior_var, transition_t, gain, q_diag)
         if not all_initialized:
             init_mask = sampled & ~initialized
             if init_mask.any():
                 init_prior, init_var = kcif.initialize(
-                    z, coeff_col, rhat, transition_t, gain, q_diag
+                    z, coeff_col, weight, transition_t, gain, q_diag
                 )
                 prior = np.where(init_mask, init_prior, prior)
                 prior_var = np.where(init_mask, init_var, prior_var)
                 initialized |= sampled
                 all_initialized = initialized.all()
-
-        if not per_pair:
-            u = np.where(sampled, coeff_col * z / rhat, 0.0)
-            weight = np.where(sampled, coeff_sq_col / rhat, 0.0)
         fused_value, fused_weight = u, weight
 
         prior_delta = None  # no neighbours' priors: no consensus term

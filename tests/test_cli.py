@@ -435,19 +435,43 @@ def test_overflowing_transition_is_diagnosed(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("lines", [
-    "algorithm = dpcrowd_plus\nmu = 5e-324\n",
-    "algorithm = dpcrowd_plus\np_max = 5e-324\n",
-    "algorithm = dpcrowd_w\nepsilon = 5e-324\n",
     "algorithm = dfast\nmodel.a_offdiag = -1e300\n",
     f"algorithm = dpcrowd\nmodel.d = 1\ndata.source = csv\ndata.path = {LINEAR_DEMO}\n"
     "model.a = 1e50\n",
-], ids=["plus_subnormal_mu", "plus_subnormal_p_max", "w_subnormal_epsilon",
-        "dfast_negative_coupling", "csv_large_transition"])
+], ids=["dfast_negative_coupling", "csv_large_transition"])
 def test_diverging_feedback_is_diagnosed(tmp_path, capsys, lines):
     # used to end in "ValueError: feedback error must be finite" in PidController.update
     err = _run_diagnosed(tmp_path, capsys, PROBE_CFG + lines)
     assert "run diverged: non-finite feedback error" in err
     assert "server" in err and "t=" in err and "dimension" in err
+
+
+def _weight_refusal(tmp_path, capsys, text):
+    """The stderr of a config whose first grant overflows R_hat; it must end
+    in exit 2 with no report, and in the same diagnosis whether numpy's
+    RuntimeWarning is ignored or raised as an error."""
+    errs = []
+    for action in ("ignore", "error"):
+        case_path = tmp_path / action
+        case_path.mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            errs.append(_run_diagnosed(case_path, capsys, text))
+    assert errs[0] == errs[1]
+    return errs[0]
+
+
+@pytest.mark.parametrize("lines", [
+    "algorithm = dpcrowd_plus\nmu = 5e-324\n",
+    "algorithm = dpcrowd_plus\np_max = 5e-324\n",
+    "algorithm = dpcrowd_w\nepsilon = 5e-324\n",
+], ids=["plus_subnormal_mu", "plus_subnormal_p_max", "w_subnormal_epsilon"])
+def test_subnormal_grant_is_diagnosed(tmp_path, capsys, lines):
+    # a grant of 5e-324 overflows c / grant; these runs used to reach the
+    # feedback check with an observation the filter weighed out
+    err = _weight_refusal(tmp_path, capsys, PROBE_CFG + lines)
+    assert err == ("error: run diverged: non-finite observation weight at server 0, t=1,"
+                   " dimension 0 (grant 5e-324, R_hat inf)\n")
 
 
 def test_unallocatable_run_is_diagnosed(tmp_path, capsys):
@@ -494,53 +518,48 @@ def test_divergence_inside_an_idle_stretch_is_diagnosed(tmp_path, capsys, algori
 def test_runtime_warning_raised_as_error_is_diagnosed(tmp_path, capsys):
     # with warnings as errors, numpy's overflow warning in
     # kcif.effective_variance (a subnormal grant) used to end in a traceback
-    # before the engine's own divergence check ran
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        err = _run_diagnosed(tmp_path, capsys, PROBE_CFG + "algorithm = dpcrowd_plus\n"
-                             "mu = 5e-324\n")
-    assert err == "error: RuntimeWarning: overflow encountered in divide\n"
+    # before the engine's own divergence check ran; the engine now checks
+    # the observation's weight itself, before numpy sees its R_hat
+    err = _weight_refusal(tmp_path, capsys, PROBE_CFG + "algorithm = dpcrowd_plus\n"
+                          "mu = 5e-324\n")
+    assert err.startswith("error: run diverged: non-finite observation weight at server 0,")
 
 
+# c / grant is finite, but its square in R_hat overflows to inf. These runs
+# used to exit 0 (with RuntimeWarning ignored) and freeze their absurd report
+# rows, fast at ARE 2.4e151; the engine now refuses the observation.
 OVERFLOWING_PERTURBATION_RUNS = [
     # mu = 1e-160 grants dpcrowd_plus about 1e-160
-    ("algorithm = dpcrowd_plus\nmu = 1e-160\n",
-     "1,dpcrowd_plus,0,1,5,0.29999999999999999,4,1.1532118310952444e+155,"
-     "1.1665121515144487e+160,25,1400,118.71734281222973,25"),
+    ("algorithm = dpcrowd_plus\nmu = 1e-160\n", "6.9314718055994525e-161"),
     # at epsilon = 1e-155 a uniform policy's eps_uniform overflows R_hat too;
     # dpcrowd_w restarts its blocks every w = 5 timestamps, frozen or
     # repartitioned
-    ("algorithm = fast\nepsilon = 1e-155\n",
-     "1,fast,0,1e-155,5,0.29999999999999999,4,2.3551129133499446e+151,"
-     "1.3725209313358792e+156,0,0,0,0"),
-    ("algorithm = dpcrowd_w\nepsilon = 1e-155\n",
-     "1,dpcrowd_w,0,1e-155,5,0.29999999999999999,4,3.8668543503535954e+150,"
-     "3.4262386764628599e+155,32,1792,119.14318866778569,32"),
-    ("algorithm = dpcrowd_w\nepsilon = 1e-155\nmodel.freeze_partition = false\n",
-     "1,dpcrowd_w,0,1e-155,5,0.29999999999999999,4,3.8145773732162481e+150,"
-     "3.3751130877963974e+155,32,1792,119.14318866778569,32"),
+    ("algorithm = fast\nepsilon = 1e-155\n", "8.333333333333334e-157"),
+    ("algorithm = dpcrowd_w\nepsilon = 1e-155\n", "1e-155"),
+    ("algorithm = dpcrowd_w\nepsilon = 1e-155\nmodel.freeze_partition = false\n", "1e-155"),
 ]
 
 
-def test_overflowing_perturbation_term_warns_and_runs(tmp_path, capsys):
-    # c / eps is finite, but its square in R_hat overflows to inf. A
-    # per-pair R_hat in Python floats does not warn, so the engine
-    # recomputes that timestamp with numpy, which does.
-    for n, (extra, row) in enumerate(OVERFLOWING_PERTURBATION_RUNS):
-        text, case_path = PROBE_CFG + extra, tmp_path / str(n)
+def test_overflowing_perturbation_term_is_diagnosed(tmp_path, capsys):
+    for n, (extra, grant) in enumerate(OVERFLOWING_PERTURBATION_RUNS):
+        case_path = tmp_path / str(n)
         case_path.mkdir()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            err = _run_diagnosed(case_path, capsys, text)
-        assert err == "error: RuntimeWarning: overflow encountered in multiply\n", extra
-        # without warnings as errors the run completes: R_hat = inf weighs
-        # the observation out, and the report keeps the bytes it had before
-        # per-pair R_hat values
-        cfg, out = _write_cfg(case_path, text), case_path / "r.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert main(["run", str(cfg), "--out", str(out)]) == 0
-        assert out.read_text().splitlines()[1] == row, extra
+        err = _weight_refusal(case_path, capsys, PROBE_CFG + extra)
+        assert err == ("error: run diverged: non-finite observation weight at server 0, t=1,"
+                       f" dimension 0 (grant {grant}, R_hat inf)\n"), extra
+
+
+@pytest.mark.parametrize("algorithm, center", [("dfast", "1e308"), ("dpcrowd_plus", "1.6e308")])
+def test_overflowing_latency_center_is_diagnosed(tmp_path, capsys, algorithm, center):
+    # a flood's latency sum (dfast), or a single round's 1.2 c (dpcrowd_plus),
+    # used to overflow into "max_latency_ms": Infinity, which is not JSON
+    cfg = _write_cfg(tmp_path, PROBE_CFG + f"algorithm = {algorithm}\n"
+                     f"net.latency_ms_center = {center}\n")
+    out = tmp_path / "r.json"
+    assert main(["run", str(cfg), "--out", str(out), "--format", "json"]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"net.latency_ms_center = {float(center):g} " in err and "net.m = 4" in err
 
 
 def test_underflowing_window_budget_is_diagnosed(tmp_path, capsys):
@@ -607,6 +626,8 @@ def _with_examples(test):
     for algorithm, key, value in _PROBE_FAILURES:
         test = example(overrides={"algorithm": algorithm, key: value})(test)
     test = example(overrides={"model.a": "1e308", "model.a_offdiag": "-1e308"})(test)
+    # a latency sum that overflowed wrote "max_latency_ms": Infinity
+    test = example(overrides={"algorithm": "dfast", "net.latency_ms_center": "1e308"})(test)
     # a first grant that underflows to 0 used to exit 0 without a sample
     test = example(overrides={"algorithm": "fast", "epsilon": "5e-324", "model.d": "1"})(test)
     test = example(overrides={"algorithm": "dpcrowd_plus", "epsilon": "5e-324",

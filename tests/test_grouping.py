@@ -283,7 +283,7 @@ def _spread(draw, start, count, gap):
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_group_regions_singletons_when_no_forecasts_are_close(data):
-    # the early exit: no two small forecasts within value_gap, so every
+    # no two small forecasts within value_gap, where may_merge says no: every
     # dimension is a group of its own, as the pairwise reference says
     draw = data.draw
     tau = draw(st.integers(1, 6), label="tau")
@@ -402,10 +402,11 @@ def _gated_run(cfg):
 
     Each server-timestamp with two or more grants is recomputed with
     predict_region over the server's granted columns and the no-merge rule:
-    the engine's forecasts must have those bits, group_regions must be asked
-    exactly where the rule lets a merge happen, and every other grant must
-    draw with perturb_count, in (timestamp, server, dimension) order, bitwise
-    as its singleton partition would.
+    the engine must gate every one of them, non-finite forecasts included,
+    with forecasts of those bits, group_regions must be asked exactly where
+    the rule lets a merge happen, and every other grant must draw with
+    perturb_count, in (timestamp, server, dimension) order, bitwise as its
+    singleton partition would.
     """
     asked, gated, drawn = [], [], []
     group_original, perturb_original, count_original, merge_original = (
@@ -446,10 +447,8 @@ def _gated_run(cfg):
             if len(granted) > 1:
                 forecasts = predict_region(res.releases[i, max(0, t - tau):t][:, granted], tau)
                 forecasts = forecasts.tolist()
-                finite = all(map(math.isfinite, forecasts))
-                if finite:
-                    want_gated.append(forecasts)
-                if not finite or may_merge(forecasts, thresholds):
+                want_gated.append(forecasts)
+                if may_merge(forecasts, thresholds):
                     want_asked.append(granted)
                     asked_at.append(t)
                     continue

@@ -24,6 +24,7 @@ from dpcrowd.kcif import (
 )
 from dpcrowd.netsim import TopologySchedule, flood_reachability
 from dpcrowd.privacy import allocate_adaptive
+from dpcrowd.runners import RunDivergedError
 
 
 def _predict(posterior, posterior_var, transition, process_var):
@@ -31,8 +32,8 @@ def _predict(posterior, posterior_var, transition, process_var):
                    process_var)
 
 
-def _initialize(released, coefficient, rhat, transition, process_var):
-    return initialize(released, coefficient, rhat, transition.T, prediction_gain(transition),
+def _initialize(released, coefficient, weight, transition, process_var):
+    return initialize(released, coefficient, weight, transition.T, prediction_gain(transition),
                       process_var)
 
 
@@ -354,7 +355,7 @@ def test_matches_textbook_kalman_50_steps():
         ref.append(xk)
 
     # information form under test
-    prior, prior_var = _initialize(np.array([zs[0]]), 1.0, np.array([r]),
+    prior, prior_var = _initialize(np.array([zs[0]]), 1.0, np.array([1.0 / r]),
                                    np.array([[a]]), np.array([q]))
     post = None
     got = []
@@ -440,7 +441,8 @@ def _reference_releases(cfg, result, neighbours, flood=None, sizes=None, block=N
             first = sampled[i] & ~initialized[i]
             prior[i], prior_var[i] = _predict(post[i], post_var[i], transition, q)
             if first.any():
-                init, init_var = _initialize(z[i], coeff[i], rhat[i], transition, q)
+                init, init_var = _initialize(z[i], coeff[i], coeff[i] * coeff[i] / rhat[i],
+                                             transition, q)
                 prior[i] = np.where(first, init, prior[i])
                 prior_var[i] = np.where(first, init_var, prior_var[i])
                 initialized[i] |= first
@@ -600,7 +602,8 @@ def _spent_eps(result, shape):
     ),
     freeze=st.booleans(),
     # (epsilon, sensitivity_c): 1e-309 grants subnormal budgets at a scale
-    # that stays finite; 1e-160 overflows (c / eps)^2, so R_hat is inf
+    # that stays finite; 1e-160 overflows (c / eps)^2, so R_hat is inf and a
+    # private run is refused
     budget=st.sampled_from(((1e-309, 1e-300), (1e-160, 1.0), (1e-150, 1.0), (0.1, 1.0),
                             (1.0, 1.0), (5.0, 1.0))),
     alpha=st.sampled_from((1.0, 0.37, 3.0)),
@@ -621,7 +624,7 @@ def _spent_eps(result, shape):
 @example(algorithm="dpcrowd_plus", freeze=False, budget=(1e-309, 1e-300), alpha=0.37,
          floor=50.0, w=5, seed=7)
 @example(algorithm="dpcrowd_plus", freeze=True, budget=(1e-160, 1.0), alpha=3.0,
-         floor=1e-12, w=5, seed=7)  # every timestamp on the array path
+         floor=1e-12, w=5, seed=7)  # refused at its first grant
 def test_per_pair_rhat_matches_per_timestamp_rhat(algorithm, freeze, budget, alpha, floor, w,
                                                   seed):
     # A private run writes R_hat, u and weight per granted pair, in Python
@@ -629,7 +632,8 @@ def test_per_pair_rhat_matches_per_timestamp_rhat(algorithm, freeze, budget, alp
     # information the filter receives must keep the bits it has with the
     # array expressions: R_hat = max(effective_variance, floor) recomputed
     # every timestamp from the budgets the ledgers record, u and weight over
-    # every pair.
+    # every pair. A grant whose R_hat overflows ends a private run with no
+    # second path to weigh it out.
     timestamps = 40
     epsilon, sensitivity = budget
     rng = np.random.default_rng(seed)
@@ -657,8 +661,12 @@ def test_per_pair_rhat_matches_per_timestamp_rhat(algorithm, freeze, budget, alp
     )
     with mock.patch.object(runners, "partition_users", lambda n, m, rng: next(calls).copy()), \
             mock.patch.object(kcif, "update_from_delta", recording), \
-            mock.patch.object(kcif, "coast", coasting), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # R_hat overflows at eps 1e-160
+            mock.patch.object(kcif, "coast", coasting):
+        if epsilon == 1e-160 and algorithm != "nonprivate":
+            with pytest.raises(RunDivergedError, match=r"^run diverged: non-finite observation"
+                               r" weight at server \d+, t=1, dimension 0 \(grant .*, R_hat inf\)$"):
+                runners.run_experiment(cfg)
+            return
         result = runners.run_experiment(cfg)
     assert len(fused) == timestamps
     sizes = np.array([draws[0]] * timestamps if freeze else draws[1:], dtype=float)
