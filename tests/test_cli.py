@@ -522,7 +522,8 @@ def test_runtime_warning_raised_as_error_is_diagnosed(tmp_path, capsys):
     # the observation's weight itself, before numpy sees its R_hat
     err = _weight_refusal(tmp_path, capsys, PROBE_CFG + "algorithm = dpcrowd_plus\n"
                           "mu = 5e-324\n")
-    assert err.startswith("error: run diverged: non-finite observation weight at server 0,")
+    assert err == ("error: run diverged: non-finite observation weight at server 0, t=1,"
+                   " dimension 0 (grant 5e-324, R_hat inf)\n")
 
 
 # c / grant is finite, but its square in R_hat overflows to inf. These runs
