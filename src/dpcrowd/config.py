@@ -253,31 +253,62 @@ class ExperimentConfig:
                 f"epsilon / w underflows to 0 (epsilon = {self.epsilon!r}, w = {self.w}), so the"
                 " default grouping.eta1 has no value"
             )
+        if eta1_default and self.grouping_eta1() == 0:
+            raise ConfigError(
+                "the default grouping.eta1, 2 * sqrt(2) * sensitivity_c / (epsilon / w),"
+                f" underflows to 0 (sensitivity_c = {self.sensitivity_c!r},"
+                f" epsilon = {self.epsilon!r}, w = {self.w}); set grouping.eta1"
+            )
         if policy.private:
-            self._check_first_grant(policy)
+            self._check_grants(policy)
 
-    def _check_first_grant(self, policy: _Policy) -> None:
-        """Refuse a private run whose first sample's budget underflows to 0.
+    def grouping_eta1(self) -> float:
+        """grouping.eta1, or by default twice the standard deviation of the
+        Laplace noise at the mean per-timestamp budget epsilon / w."""
+        if self.grouping.eta1 is not None:
+            return self.grouping.eta1
+        return 2.0 * math.sqrt(2.0) * self.sensitivity_c / (self.epsilon / self.w)
+
+    def _check_grants(self, policy: _Policy) -> None:
+        """Refuse a private run whose grants leave no sample or no noise.
 
         Every pair is due at t = 1, and no later grant is smaller: a later
         uniform block plans no more samples than the first, and an adaptive
         grant at interval 1 is the smallest share of a fresh window. A run
         that cannot take that sample releases zeros and exits 0.
+
+        The largest grant a policy can make is epsilon over the fewest
+        planned samples of any block (uniform), or at most p_max * epsilon
+        and eps_max_fraction * epsilon (adaptive). Every other grant is
+        smaller, so its noise scale sensitivity_c / grant is larger: where
+        that scale is positive at the largest grant, it is at every grant.
         """
+        block = self.w if policy.window_restart else self.timestamps
         if policy.adaptive:
             grant = allocate_adaptive(
                 self.epsilon, 1, self.mu, self.p_max, self.epsilon * self.eps_max_fraction
             )
             how = (f"min(mu * ln 2, p_max) * epsilon, at most eps_max_fraction * epsilon"
                    f" (epsilon = {self.epsilon!r})")
+            largest = min(self.p_max * self.epsilon, self.epsilon * self.eps_max_fraction)
+            most = "min(p_max, eps_max_fraction) * epsilon"
         else:
-            block = self.w if policy.window_restart else self.timestamps
             planned = self.sampling.planned_samples(min(block, self.timestamps))
             grant = allocate_uniform(self.epsilon, planned)
             how = f"epsilon = {self.epsilon!r} over {planned} planned samples"
+            # the last block is the shortest, where it is cut short
+            fewest = self.sampling.planned_samples(self.timestamps % block or block)
+            largest = allocate_uniform(self.epsilon, fewest)
+            most = f"epsilon over {fewest} planned samples"
         if grant == 0:
             raise ConfigError(
                 f"the first sample's budget, {how}, underflows to 0, so the run could not sample"
+            )
+        if self.sensitivity_c / largest == 0:
+            raise ConfigError(
+                f"the noise scale sensitivity_c / grant underflows to 0 at the largest grant,"
+                f" {most} (sensitivity_c = {self.sensitivity_c!r}, epsilon = {self.epsilon!r}),"
+                " so no sample could be perturbed"
             )
 
 

@@ -4,13 +4,16 @@ All six algorithms share one synchronous two-phase engine (sense/perturb/
 broadcast, then fuse/update/release) parameterized by a policy record, so
 the degenerate equivalences between them (FAST is DPCrowd minus neighbors,
 the windowed baseline with w = T matches DPCrowd, ...) hold by construction,
-draw for draw.
+draw for draw. A run keeps each release once: the engine records only the
+value each sampled pair observed, and RunResult derives the full
+observations trace from those values and the releases.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -43,17 +46,41 @@ class RunDivergedError(RuntimeError):
 
 @dataclass
 class RunResult:
-    """Everything a run releases plus its accounting."""
+    """Everything a run releases plus its accounting.
+
+    `fresh` holds the value each sampled (server, t, dimension) observed, in
+    the order of `sampled.swapaxes(0, 1)` (t-major): the perturbed release
+    in a private run, the raw aggregate in a non-private one. The full
+    observations trace is derived from it, once, on first read.
+    """
 
     config: ExperimentConfig
     truth: np.ndarray  # (T, d)
     releases: np.ndarray  # (m, T, d)
-    observations: np.ndarray  # (m, T, d): the DP-protected values fed to estimation
+    fresh: np.ndarray  # (sampled.sum(),): the observed value of each sampled pair
     posterior_var: np.ndarray  # (m, T, d)
     broadcast: np.ndarray  # (m, T) bool: actual transmissions
     sampled: np.ndarray  # (m, T, d) bool: fresh-observation timestamps per dimension
     stats: CommStats
     ledgers: list[PrivacyLedger] | None
+
+    @property
+    def observations(self) -> np.ndarray:
+        """(m, T, d), read-only: the DP-protected values fed to estimation.
+
+        One rule for every algorithm: a pair observes the server's previous
+        release (0.0 at t = 1), overwritten by its `fresh` value where
+        `sampled` is set. Built on first read and kept; it is not a field,
+        so it cannot be set and `fields()` and `replace()` leave it out.
+        """
+        obs = self.__dict__.get("_observations")
+        if obs is None:
+            obs = np.zeros_like(self.releases)
+            obs[:, 1:] = self.releases[:, :-1]
+            obs.swapaxes(0, 1)[self.sampled.swapaxes(0, 1)] = self.fresh
+            obs.flags.writeable = False
+            self._observations = obs
+        return obs
 
     def verify(self) -> None:
         """Completeness and budget soundness; raises on violation."""
@@ -69,6 +96,8 @@ class RunResult:
             )
         if self.broadcast.shape != (m, timestamps):
             raise AssertionError("broadcast mask shape mismatch")
+        if self.fresh.size != self.sampled.sum():
+            raise AssertionError("fresh values do not match the sampled mask")
         if len(self.stats.packets_by_t) != timestamps:
             raise AssertionError("per-timestamp packet trace incomplete")
         if self.ledgers is not None:
@@ -110,12 +139,8 @@ def _make_truth(cfg: ExperimentConfig, model: ProcessModel, rng: np.random.Gener
 
 
 def _grouping_thresholds(cfg: ExperimentConfig) -> GroupingThresholds:
-    # eps_avg: the mean per-timestamp budget eps/w of a fully spent window,
-    # positive here (ExperimentConfig.validate)
-    eps_avg = cfg.epsilon / cfg.w
-    eta1 = cfg.grouping.eta1
-    if eta1 is None:
-        eta1 = 2.0 * math.sqrt(2.0) * cfg.sensitivity_c / eps_avg
+    # eta1 is positive here (ExperimentConfig.validate)
+    eta1 = cfg.grouping_eta1()
     eta3 = cfg.grouping.eta3
     if eta3 is None:
         eta3 = eta1 / 2.0
@@ -188,10 +213,12 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
 
     # Per-server observation-noise draws come off that server's own stream as
     # standard normals and are turned into the raw aggregates of the whole run
-    # in place: x = noise * (coeff * sd) + coeff * truth.
-    obs_noise = np.stack([rng.standard_normal((timestamps, d)) for rng in server_rngs])
+    # in place: x = noise * (coeff * sd) + coeff * truth. They are laid out
+    # (T, m, d), so that a timestamp's aggregates are one contiguous row.
+    obs_noise = np.stack([rng.standard_normal((timestamps, d)) for rng in server_rngs], axis=1)
     noise_scale = coeffs * np.sqrt(q_diag)
-    for i, x in enumerate(obs_noise):
+    for i in range(m):
+        x = obs_noise[:, i]
         x *= noise_scale[:, i]
         x += coeffs[:, i] * truth
     # per-timestamp rows; with one partition, broadcasts of its one row
@@ -220,9 +247,11 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
     block_len = cfg.w if policy.window_restart else timestamps
 
     releases = np.empty((m, timestamps, d))
-    # a non-private run observes its raw aggregates; a private one writes
-    # each timestamp's z straight into its row
-    observations = np.empty((m, timestamps, d)) if private else obs_noise
+    # a private timestamp's observations, in one buffer that every such
+    # timestamp reuses, and each granted pair's release in the order
+    # RunResult.fresh keeps them
+    z = np.empty((m, d))
+    fresh = array("d")
     posterior_var_trace = np.empty((m, timestamps, d))
     sampled_trace = np.zeros((m, timestamps, d), dtype=bool)
     packet_bytes = message_num_bytes(d) if policy.communicate else flood_payload_bytes(d)
@@ -297,7 +326,7 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
         coeff_col, coeff_sq_col = coeffs[tidx], coeff_sqs[tidx]
         # Raw aggregates: consumed by the perturbation/selection block below
         # and by nothing else in private modes.
-        x_raw = obs_noise[:, tidx]
+        x_raw = obs_noise[tidx]
 
         if not private:
             z = x_raw
@@ -322,13 +351,11 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                     if clamp:
                         stretch = np.maximum(stretch, 0.0)
                     releases[:, tidx:end] = stretch.swapaxes(0, 1)
-                    observations[:, tidx:end] = releases[:, tidx - 1:end - 1]
                     posterior_var_trace[:, tidx:end] = variances.swapaxes(0, 1)
                     posterior, posterior_var = posteriors[-1], variances[-1]
                     coasted_until = end
                     continue
             # An unsampled dimension repeats the server's previous release.
-            z = observations[:, tidx]
             z[...] = releases[:, tidx - 1] if tidx else 0.0
             granted_by_server: dict[int, list[int]] = {}
             # a private timestamp writes each granted pair's values in Python
@@ -398,6 +425,7 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
                     else:
                         released = shares[k]
                     z[i, k] = released
+                    fresh.append(released)
                     # max(R_hat, floor): at least variance_floor > 0, so
                     # nothing divides by zero
                     r = kcif.combined_variance(
@@ -495,7 +523,7 @@ def _simulate(cfg: ExperimentConfig, policy: _Policy) -> RunResult:
         config=cfg,
         truth=truth,
         releases=releases,
-        observations=observations,
+        fresh=np.frombuffer(fresh) if private else obs_noise.reshape(-1),
         posterior_var=posterior_var_trace,
         broadcast=broadcast_trace,
         sampled=sampled_trace,
