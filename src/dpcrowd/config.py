@@ -283,7 +283,6 @@ class ExperimentConfig:
         smaller, so its noise scale sensitivity_c / grant is larger: where
         that scale is positive at the largest grant, it is at every grant.
         """
-        block = self.w if policy.window_restart else self.timestamps
         if policy.adaptive:
             grant = allocate_adaptive(
                 self.epsilon, 1, self.mu, self.p_max, self.epsilon * self.eps_max_fraction
@@ -293,6 +292,7 @@ class ExperimentConfig:
             largest = min(self.p_max * self.epsilon, self.epsilon * self.eps_max_fraction)
             most = "min(p_max, eps_max_fraction) * epsilon"
         else:
+            block = self.w if policy.window_restart else self.timestamps
             planned = self.sampling.planned_samples(min(block, self.timestamps))
             grant = allocate_uniform(self.epsilon, planned)
             how = f"epsilon = {self.epsilon!r} over {planned} planned samples"

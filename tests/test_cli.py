@@ -570,6 +570,25 @@ def test_underflowing_window_budget_is_diagnosed(tmp_path, capsys):
     assert "epsilon / w underflows to 0" in err
 
 
+# a noise scale sensitivity_c / grant of 0 ended in "ValueError: scale must
+# be positive", and a default grouping.eta1 of 0 in "large_value threshold
+# must be positive"
+UNDERFLOWING_NOISE = PROBE_CFG + "sensitivity_c = 5e-324\nepsilon = 1e300\n"
+
+
+@pytest.mark.parametrize("lines, diagnosis", [
+    ("algorithm = dpcrowd_plus\n", "the default grouping.eta1"),
+    ("algorithm = dpcrowd_plus\ngrouping.eta1 = 1\n", "the noise scale sensitivity_c / grant"),
+    ("algorithm = fast\n", "the noise scale sensitivity_c / grant"),
+])
+def test_underflowing_noise_scale_is_diagnosed(tmp_path, capsys, lines, diagnosis):
+    text = UNDERFLOWING_NOISE + lines
+    assert main(["validate", str(_write_cfg(tmp_path, text))]) == 2
+    err = _run_diagnosed(tmp_path, capsys, text)
+    assert err.count(diagnosis) == 2, err
+    assert err.count("sensitivity_c = 5e-324") == 2 and err.count("epsilon = 1e+300") == 2
+
+
 # --------------------------------------------------------------- schema fuzz
 
 FUZZ_CFG = PROBE_CFG + "algorithm = dpcrowd_plus\n"
@@ -633,6 +652,9 @@ def _with_examples(test):
     test = example(overrides={"algorithm": "fast", "epsilon": "5e-324", "model.d": "1"})(test)
     test = example(overrides={"algorithm": "dpcrowd_plus", "epsilon": "5e-324",
                               "grouping.enabled": "false"})(test)
+    # a default grouping.eta1 that underflows to 0 ended in a traceback
+    test = example(overrides={"algorithm": "dpcrowd_plus", "sensitivity_c": "5e-324",
+                              "epsilon": "1e300"})(test)
     return example(overrides={"algorithm": "dpcrowd", "model.d": "1", "data.source": "csv",
                               "data.path": str(LINEAR_DEMO), "model.a": "1e50"})(test)
 

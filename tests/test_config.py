@@ -259,6 +259,38 @@ def test_first_grant_underflow_rejected(algorithm, extra):
         config_from_mapping({**_TINY_BUDGET, "algorithm": algorithm, **extra})
 
 
+_HUGE_BUDGET = {"epsilon": "1e300", "timestamps": "45", "users": "1000", "net.m": "4"}
+
+
+@pytest.mark.parametrize("algorithm, extra, largest", [
+    # c / epsilon is 1e-324, which rounds to 0: a block of 20 timestamps
+    # plans 6 samples, and its scale 6e-324 is positive, but the last block
+    # of 5 plans 1
+    ("dpcrowd_w", {"w": "20", "sensitivity_c": "1e-24"}, "epsilon over 1 planned samples"),
+    ("fast", {"sensitivity_c": "5e-324"}, "epsilon over 13 planned samples"),
+    ("dpcrowd_plus", {"w": "5", "sensitivity_c": "5e-324", "grouping.eta1": "1"},
+     "min(p_max, eps_max_fraction) * epsilon"),
+])
+def test_noise_scale_underflow_rejected(algorithm, extra, largest):
+    # a zero scale used to end in "ValueError: scale must be positive"
+    with pytest.raises(ConfigError, match=re.escape(
+            f"sensitivity_c / grant underflows to 0 at the largest grant, {largest}")):
+        config_from_mapping({**_HUGE_BUDGET, "algorithm": algorithm, **extra})
+
+
+def test_noise_scale_checked_at_the_largest_grant_only():
+    # no block is cut short, so every grant is epsilon / 6 and its scale 6e-324
+    config_from_mapping({**_HUGE_BUDGET, "algorithm": "dpcrowd_w", "w": "20",
+                         "timestamps": "40", "sensitivity_c": "1e-24"})
+
+
+def test_default_eta1_underflow_rejected():
+    # it used to end in "ValueError: large_value threshold must be positive"
+    with pytest.raises(ConfigError, match=r"default grouping\.eta1, .*, underflows to 0"):
+        config_from_mapping({**_HUGE_BUDGET, "algorithm": "dpcrowd_plus", "w": "5",
+                             "sensitivity_c": "5e-324"})
+
+
 @pytest.mark.parametrize("algorithm, extra", [
     # 12 planned samples of 6e-323 grant 5e-324 each
     ("fast", {"epsilon": "6e-323"}),

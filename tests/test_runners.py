@@ -1,5 +1,9 @@
+import gc
 import math
+import tracemalloc
+import types
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +73,181 @@ def test_different_seed_changes_run():
     a = run_experiment(_cfg(seed=1))
     b = run_experiment(_cfg(seed=2))
     assert not np.array_equal(a.releases, b.releases)
+
+
+# ------------------------------------------------------------ observations
+
+# a stream near zero at a small budget, whose clamped releases hit 0.0
+_NEAR_ZERO = dict(epsilon=0.01, users=100, data=DataConfig(initial=(5.0,)))
+
+
+def _recorded_run(cfg, monkeypatch):
+    """Run cfg; returns the run and each value perturb_count (a float) and
+    perturb_groups (a dict of every grant of one server) returned, in call
+    order."""
+    draws = []
+    count, groups = runners.perturb_count, runners.perturb_groups
+
+    def counting(*args):
+        draws.append(count(*args))
+        return draws[-1]
+
+    def grouping(*args):
+        draws.append(groups(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(runners, "perturb_count", counting)
+    monkeypatch.setattr(runners, "perturb_groups", grouping)
+    res = run_experiment(cfg)
+    monkeypatch.undo()
+    return res, draws
+
+
+def _reference_observations(res, draws):
+    """Replay a private run's observations one timestamp at a time: each
+    server's previous release (0.0 at t = 1), and each granted pair's draw,
+    taken in (timestamp, server, dimension) order."""
+    m, timestamps, d = res.releases.shape
+    draws = iter(draws)
+    want = np.empty((m, timestamps, d))
+    for tidx in range(timestamps):
+        z = res.releases[:, tidx - 1].copy() if tidx else np.zeros((m, d))
+        for i in range(m):
+            granted = np.flatnonzero(res.sampled[i, tidx]).tolist()
+            for k in granted:
+                drawn = next(draws)
+                if isinstance(drawn, dict):
+                    assert sorted(drawn) == granted
+                    for j in granted:
+                        z[i, j] = drawn[j]
+                    break
+                z[i, k] = drawn
+        want[:, tidx] = z
+    assert next(draws, None) is None
+    return want
+
+
+@pytest.mark.parametrize("algorithm, overrides", [
+    ("dpcrowd", {}),
+    ("fast", {}),
+    ("dfast", dict(net=NetConfig(m=6, rho=0.3, seed=5))),
+    # block restarts every 10 timestamps
+    ("dpcrowd_w", dict(w=10, timestamps=60)),
+    # windows drained to a refusal (test_schedules_are_asked_only_when_due)
+    ("dpcrowd_plus", dict(w=8, epsilon=0.1, timestamps=60, mu=20.0, p_max=1.0,
+                          eps_max_fraction=0.5, model=ModelConfig(d=3, q=(1e3,)),
+                          sampling=SamplingConfig(mode="fixed", interval=2))),
+    # multi-member groups
+    ("dpcrowd_plus", dict(w=10, model=ModelConfig(d=3, q=(1e3,)))),
+    ("dpcrowd", dict(kcif=KcifConfig(clamp_releases=True), **_NEAR_ZERO)),
+    ("dpcrowd", dict(model=ModelConfig(q=(1e3,), freeze_partition=False))),
+    ("fast", dict(net=NetConfig(m=1, rho=0.5, seed=7))),
+    ("dpcrowd_plus", dict(w=10, net=NetConfig(m=1, rho=0.5, seed=7),
+                          model=ModelConfig(d=2, q=(1e3,)))),
+    ("dpcrowd", dict(sampling=SamplingConfig(mode="fixed", interval=3))),
+])
+def test_observations_follow_the_releases_and_the_draws(algorithm, overrides, monkeypatch):
+    res, draws = _recorded_run(_cfg(algorithm=algorithm, **overrides), monkeypatch)
+    want = _reference_observations(res, draws)
+    assert res.observations.tobytes() == want.tobytes()
+    assert res.fresh.size == res.sampled.sum()
+    # the run coasted: some timestamp of it has no sampled pair
+    assert not res.sampled.any(axis=(0, 2)).all()
+
+
+def test_observations_cover_grouping_clamping_and_restarts(monkeypatch):
+    # the cases above exercise what they are there for
+    _, draws = _recorded_run(_cfg(algorithm="dpcrowd_plus", w=10,
+                                  model=ModelConfig(d=3, q=(1e3,))), monkeypatch)
+    assert any(isinstance(drawn, dict) and len(set(drawn.values())) < len(drawn)
+               for drawn in draws)
+    res = run_experiment(_cfg(kcif=KcifConfig(clamp_releases=True), **_NEAR_ZERO))
+    assert (res.releases == 0.0).any()
+    res = run_experiment(_cfg(algorithm="dpcrowd_w", w=10, timestamps=60))
+    assert res.sampled[:, ::10].all()
+
+
+def test_nonprivate_observations_are_the_raw_aggregates(monkeypatch):
+    # a fast run that samples every pair every timestamp perturbs each raw
+    # aggregate once, in (timestamp, server, dimension) order, and takes them
+    # from the same data, partition and server streams
+    values = []
+    count = runners.perturb_count
+
+    def counting(value, *args):
+        values.append(value)
+        return count(value, *args)
+
+    kw = dict(model=ModelConfig(d=2, q=(1e3,)), sampling=SamplingConfig(mode="fixed", interval=1))
+    monkeypatch.setattr(runners, "perturb_count", counting)
+    assert run_experiment(_cfg(algorithm="fast", **kw)).sampled.all()
+    monkeypatch.undo()
+    res = run_experiment(_cfg(algorithm="nonprivate", **kw))
+    m, timestamps, d = res.releases.shape
+    raw = np.array(values).reshape(timestamps, m, d).swapaxes(0, 1)
+    assert res.observations.tobytes() == raw.tobytes()
+    assert res.fresh.size == res.sampled.sum() == m * timestamps * d
+
+
+def _full_size_float_arrays(res):
+    """The float arrays of at least m * T * d values that res holds, each
+    counted once: a view counts as the array it views."""
+    size = res.releases.size
+    found, seen, stack = {}, set(), [res]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            owns_data = not isinstance(obj.base, np.ndarray)
+            if owns_data and obj.dtype.kind == "f" and obj.size >= size:
+                found[id(obj)] = obj
+            stack.append(obj.base)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return list(found.values())
+
+
+@pytest.mark.parametrize("algorithm", ["dpcrowd", "dpcrowd_plus", "fast", "dfast"])
+def test_private_run_holds_releases_and_variances_only(algorithm):
+    overrides = dict(w=10, model=ModelConfig(d=2, q=(1e3,))) if algorithm == "dpcrowd_plus" else {}
+    res = run_experiment(_cfg(algorithm=algorithm, **overrides))
+    held = _full_size_float_arrays(res)
+    assert len(held) == 2
+    assert any(a is res.releases for a in held) and any(a is res.posterior_var for a in held)
+    assert res.fresh.size == res.sampled.sum()
+    # the first read builds the trace and keeps it; it is read-only
+    observations = res.observations
+    assert res.observations is observations
+    assert len(_full_size_float_arrays(res)) == 3
+    with pytest.raises(ValueError):
+        observations[0, 0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        res.observations = observations
+    assert "observations" not in {f.name for f in fields(res)}
+
+
+def test_nonprivate_run_holds_its_raw_aggregates_once():
+    res = run_experiment(_cfg(algorithm="nonprivate"))
+    # the releases, the variances and the raw aggregates that fresh views
+    assert len(_full_size_float_arrays(res)) == 3
+    assert res.fresh.base is not None and res.fresh.size == res.releases.size
+
+
+def test_private_run_peak_memory_is_bounded():
+    # the peak of a private run, in (m, T, d) float arrays: 3.76 here, where
+    # a run that also stored its observations trace peaked at 4.74
+    cfg = load_config(QUICKSTART.with_name("multilinear_plus.cfg"), False)
+    run_experiment(apply_override(cfg, "timestamps", "100"))  # warm up
+    cfg = apply_override(cfg, "timestamps", "2000")
+    tracemalloc.start()
+    try:
+        res = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.25 * res.releases.nbytes
 
 
 # ------------------------------------------------------- budget accounting
